@@ -11,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use streamlin_bench::{configure, Config};
-use streamlin_runtime::measure::{profile_mode, profile_threads, ExecMode, Scheduler};
+use streamlin_runtime::{run, ExecMode, RunSpec, Scheduler};
 
 fn bench_suite(c: &mut Criterion) {
     let mut group = c.benchmark_group("end_to_end");
@@ -36,12 +36,15 @@ fn bench_suite(c: &mut Criterion) {
                         |b, &n| {
                             b.iter(|| {
                                 black_box(
-                                    profile_mode(
+                                    run(
                                         black_box(&opt),
-                                        n,
-                                        mode.default_strategy(),
-                                        sched,
-                                        mode,
+                                        &RunSpec {
+                                            sched,
+                                            mode,
+                                            ..RunSpec::new(n)
+                                        },
+                                        None,
+                                        None,
                                     )
                                     .unwrap(),
                                 )
@@ -79,12 +82,15 @@ fn bench_kernel_paths(c: &mut Criterion) {
                     |b, &n| {
                         b.iter(|| {
                             black_box(
-                                profile_mode(
+                                run(
                                     black_box(&opt),
-                                    n,
-                                    mode.default_strategy(),
-                                    sched,
-                                    mode,
+                                    &RunSpec {
+                                        sched,
+                                        mode,
+                                        ..RunSpec::new(n)
+                                    },
+                                    None,
+                                    None,
                                 )
                                 .unwrap(),
                             )
@@ -120,22 +126,26 @@ fn bench_pipeline_threads(c: &mut Criterion) {
                     b.iter(|| {
                         let mode = ExecMode::Fast;
                         black_box(if threads > 1 {
-                            profile_threads(
+                            run(
                                 black_box(&opt),
-                                n,
-                                mode.default_strategy(),
-                                Scheduler::Auto,
-                                mode,
-                                threads,
+                                &RunSpec {
+                                    mode,
+                                    threads: Some(threads),
+                                    ..RunSpec::new(n)
+                                },
+                                None,
+                                None,
                             )
                             .unwrap()
                         } else {
-                            profile_mode(
+                            run(
                                 black_box(&opt),
-                                n,
-                                mode.default_strategy(),
-                                Scheduler::Auto,
-                                mode,
+                                &RunSpec {
+                                    mode,
+                                    ..RunSpec::new(n)
+                                },
+                                None,
+                                None,
                             )
                             .unwrap()
                         })
@@ -154,7 +164,7 @@ fn bench_pipeline_threads(c: &mut Criterion) {
 /// the threads group, single-core hosts measure protocol overhead.
 fn bench_fission(c: &mut Criterion) {
     use streamlin_runtime::fission::Fission;
-    use streamlin_runtime::measure::profile_fission;
+    use streamlin_runtime::{run, RunSpec};
     let mut group = c.benchmark_group("fission");
     group.sample_size(10);
     for (bench, config) in [
@@ -180,14 +190,16 @@ fn bench_fission(c: &mut Criterion) {
                     b.iter(|| {
                         let mode = ExecMode::Fast;
                         black_box(
-                            profile_fission(
+                            run(
                                 black_box(&opt),
-                                n,
-                                mode.default_strategy(),
-                                Scheduler::Auto,
-                                mode,
-                                4,
-                                fission,
+                                &RunSpec {
+                                    mode,
+                                    threads: Some(4),
+                                    fission,
+                                    ..RunSpec::new(n)
+                                },
+                                None,
+                                None,
                             )
                             .unwrap(),
                         )

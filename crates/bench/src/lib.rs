@@ -13,8 +13,7 @@ use streamlin_core::frequency::FreqStrategy;
 use streamlin_core::opt::OptStream;
 use streamlin_core::select::{select, SelectOptions};
 use streamlin_fft::FftKind;
-use streamlin_runtime::measure::{profile, Profile};
-use streamlin_runtime::MatMulStrategy;
+use streamlin_runtime::{run as run_spec, MatMulStrategy, Profile, RunSpec};
 
 /// The measured configurations of §5.2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,7 +119,11 @@ pub fn run_with_strategy(
     strategy: MatMulStrategy,
 ) -> Profile {
     let opt = configure(bench, config);
-    profile(&opt, outputs, strategy)
+    let spec = RunSpec {
+        matmul: Some(strategy),
+        ..RunSpec::new(outputs)
+    };
+    run_spec(&opt, &spec, None, None)
         .unwrap_or_else(|e| panic!("{} [{}]: {e}", bench.name(), config.label()))
 }
 

@@ -21,7 +21,7 @@
 //! [`combine`] drives whole-graph replacement (maximal linear replacement,
 //! per-filter "(nc)" replacement, maximal frequency replacement), producing
 //! an optimized stream ([`opt::OptStream`]) that `streamlin-runtime`
-//! executes. [`reference`] holds a small channel-accurate simulator of
+//! executes. [`mod@reference`] holds a small channel-accurate simulator of
 //! linear-node structures used as the correctness oracle in tests.
 //!
 //! # Examples
@@ -59,3 +59,41 @@ pub mod state_space;
 pub use combine::{analyze_graph, LinearAnalysis};
 pub use node::LinearNode;
 pub use opt::OptStream;
+
+/// The replacement step for a configuration name, as `streamlinc
+/// --config` and the daemon's `open` spell it: `baseline` (per-filter
+/// linear replacement), `linear` (maximal combination), `freq`
+/// (maximal frequency replacement), `redund` (combination with
+/// redundancy elimination) or `autosel` (the cost-model selection of
+/// §4.4).
+///
+/// # Errors
+///
+/// An unknown configuration name, or a selection failure.
+pub fn optimize(
+    graph: &streamlin_graph::Stream,
+    analysis: &LinearAnalysis,
+    config: &str,
+) -> Result<OptStream, String> {
+    use combine::{replace, ReplaceOptions, ReplaceTarget};
+    Ok(match config {
+        "baseline" => replace(graph, analysis, &ReplaceOptions::per_filter()),
+        "linear" => replace(graph, analysis, &ReplaceOptions::maximal_linear()),
+        "freq" => replace(graph, analysis, &ReplaceOptions::maximal_freq()),
+        "redund" => replace(
+            graph,
+            analysis,
+            &ReplaceOptions {
+                combine: true,
+                target: ReplaceTarget::Redund,
+            },
+        ),
+        "autosel" => {
+            let model = cost::CostModel::default();
+            select::select(graph, analysis, &model, &select::SelectOptions::default())
+                .map_err(|e| e.to_string())?
+                .opt
+        }
+        other => return Err(format!("unknown config `{other}`")),
+    })
+}

@@ -27,8 +27,9 @@
 //!    still sees the source names.)
 //!
 //! The analysis is deliberately *checked against the concrete
-//! semantics*: constant folding calls the very same [`bin_op`]/[`un_op`]/
-//! [`MathFn::call`] the runtime interpreter uses, so a decided branch or
+//! semantics*: constant folding calls the very same [`bin_op`]/
+//! [`crate::value::un_op`]/[`crate::value::MathFn::call`] the runtime
+//! interpreter uses, so a decided branch or
 //! loop trip count can never disagree with execution.
 
 use std::collections::{HashMap, HashSet};

@@ -21,7 +21,7 @@
 //! * FLOP tallies fire through the same [`Host`] counting hooks with the
 //!   same runtime values, so Measured and Fast modes agree with the
 //!   tree-walker to the count;
-//! * the fuel discipline is replicated exactly — one [`Op::Spend`] per
+//! * the fuel discipline is replicated exactly — one `Op::Spend` per
 //!   statement plus one per loop-iteration check — so a program that
 //!   exhausts its fuel budget does so at the same logical point.
 //!
@@ -30,13 +30,13 @@
 //! phases run with the unchecked window host, uncertified phases with the
 //! fully checked one. `tests/interp_differential.rs` and
 //! `tests/graph_fuzz.rs` pin the equivalence across the nine paper
-//! benchmarks and fuzzed graphs, with `STREAMLIN_NO_BYTECODE` keeping the
-//! tree-walker available as the differential reference.
+//! benchmarks and fuzzed graphs, with the runtime's per-run interpreter
+//! tier keeping the tree-walker available as the differential reference.
 //!
 //! On top of the linear opcodes the compiler fuses the benchmarks'
 //! dominant firing pattern — the inner-product loop
 //! `for (int v = lo; v < hi; v++) acc += a * b` of every windowed-sinc
-//! FIR, matched filter and autocorrelation — into a single [`Op::Dot`]
+//! FIR, matched filter and autocorrelation — into a single `Op::Dot`
 //! superinstruction that runs the whole loop natively over the array
 //! storage and the tape host. Recognition is structural; every
 //! value-dependent precondition (int bounds, float accumulator,

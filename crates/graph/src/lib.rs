@@ -19,7 +19,7 @@
 //!   (shadowing resolved statically), and the runtime executes the
 //!   resolved tree over plain `Vec<Cell>` storage — no name hashing on the
 //!   firing path.
-//! * [`elaborate`] — instantiation of parameterized stream declarations:
+//! * [`mod@elaborate`] — instantiation of parameterized stream declarations:
 //!   runs container bodies and filter `init` blocks under constant
 //!   evaluation, exactly like the StreamIt compiler resolves its graph at
 //!   compile time (§2.1: "these rates must be resolvable at compile time"),

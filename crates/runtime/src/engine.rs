@@ -681,7 +681,7 @@ pub(crate) fn interp_phase_rates(interp: &InterpState) -> (usize, usize, usize) 
 /// tier ([`streamlin_graph::bytecode`]) over the filter's `Vec<Cell>`
 /// storage — no recursion, no `Box` chasing on the firing path — with
 /// the slot-resolved tree-walker ([`streamlin_graph::lower`]) kept as
-/// the differential reference (`STREAMLIN_NO_BYTECODE`).
+/// the differential reference (a run's [`crate::flat::Tier`]).
 pub(crate) fn run_work_phase<T: Tally>(
     interp: &mut InterpState,
     window: &[f64],

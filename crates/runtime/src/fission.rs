@@ -1,6 +1,6 @@
 //! Data-parallel fission of stateless and linear nodes.
 //!
-//! Pipeline partitioning ([`crate::partition`]) cuts the graph at node
+//! Pipeline partitioning ([`mod@crate::partition`]) cuts the graph at node
 //! granularity, so a graph dominated by one node — FIR's frequency stage
 //! is ~97 % of steady-state cost — cannot be balanced no matter how many
 //! threads are available. This module supplies the missing lever: when
@@ -99,7 +99,7 @@ use crate::flat::{FlatGraph, FlatNode, InterpState, NodeKind};
 use crate::linear_exec::LinearExec;
 use crate::plan::ExecPlan;
 
-/// How much fission the profiler applies.
+/// How much fission a run applies ([`crate::RunSpec::fission`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Fission {
     /// No fission (the default).

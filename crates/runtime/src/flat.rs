@@ -1,6 +1,5 @@
 //! Lowering an optimized stream to a flat node/channel graph.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use streamlin_core::frequency::FreqExec;
@@ -11,7 +10,7 @@ use streamlin_graph::lower::{RExpr, RLValue, RStmt, Slot};
 use streamlin_graph::value::{Cell, Value};
 use streamlin_lang::ast::{BinOp, DataType};
 
-use crate::fission::{FissJoin, FissSplit, FissWorker};
+use crate::fission::{FissJoin, FissKernel, FissSplit, FissWorker};
 use crate::linear_exec::{LinearExec, MatMulStrategy};
 
 /// Errors from flattening.
@@ -29,41 +28,44 @@ impl std::fmt::Display for FlattenError {
 
 impl std::error::Error for FlattenError {}
 
-/// Process-wide switch for certified tape-check elision (default on;
-/// the `STREAMLIN_NO_CERT` environment variable or [`set_cert_elision`]
-/// turns it off). Read once per [`InterpState`] construction, so a node
-/// never changes discipline mid-run.
-static CERT_ELISION: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables the certified unchecked-tape fast path for
-/// subsequently built interpreter nodes. Benchmarks use this to measure
-/// the cost of per-access checking in-process; results are bit-identical
-/// either way (that is what the certificate proves).
-pub fn set_cert_elision(on: bool) {
-    CERT_ELISION.store(on, Ordering::Relaxed);
+/// Interpreter tier: how interpreted filters execute. Every tier is
+/// bit-identical in outputs, prints and operation tallies; the
+/// non-default ones exist as differential oracles and ablations. A run
+/// picks its tier in [`crate::measure::RunSpec::tier`], and each session
+/// applies it to its own copy of the graph ([`FlatGraph::set_tier`]), so
+/// concurrent runs never see each other's choice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Tier {
+    /// Fire through the compiled bytecode (`lowered.*.code`); `false`
+    /// tree-walks the resolved body (the reference tier).
+    pub bytecode: bool,
+    /// Skip per-access tape checks in phases holding a
+    /// [`streamlin_graph::analyze::RateCert`].
+    pub cert_elision: bool,
 }
 
-fn cert_elision_enabled() -> bool {
-    CERT_ELISION.load(Ordering::Relaxed) && std::env::var_os("STREAMLIN_NO_CERT").is_none()
+impl Default for Tier {
+    fn default() -> Self {
+        Tier {
+            bytecode: true,
+            cert_elision: true,
+        }
+    }
 }
 
-/// Process-wide switch for the linear bytecode execution tier (default
-/// on; the `STREAMLIN_NO_BYTECODE` environment variable or
-/// [`set_bytecode_tier`] turns it off, dropping interpreted firings back
-/// to the tree-walking reference). Read once per [`InterpState`]
-/// construction, so a node never changes tier mid-run.
-static BYTECODE_TIER: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables the bytecode tier for subsequently built
-/// interpreter nodes. The differential suites and benchmarks use this to
-/// compare against the tree-walker in-process; outputs, prints and
-/// operation tallies are bit-identical either way.
-pub fn set_bytecode_tier(on: bool) {
-    BYTECODE_TIER.store(on, Ordering::Relaxed);
-}
-
-fn bytecode_enabled() -> bool {
-    BYTECODE_TIER.load(Ordering::Relaxed) && std::env::var_os("STREAMLIN_NO_BYTECODE").is_none()
+impl Tier {
+    /// The `tier` note instrumented runs record (`--emit-graph` prints it).
+    pub fn label(self) -> String {
+        format!(
+            "{}, cert elision {}",
+            if self.bytecode {
+                "bytecode"
+            } else {
+                "tree-walker"
+            },
+            if self.cert_elision { "on" } else { "off" }
+        )
+    }
 }
 
 /// Mutable interpreter state of an original filter instance. Storage is
@@ -86,21 +88,21 @@ pub struct InterpState {
     /// True until the first firing has happened (selects `initWork`).
     pub first: bool,
     /// The work phase holds a [`streamlin_graph::analyze::RateCert`] and
-    /// elision is enabled: firings skip per-access tape checks and
+    /// the tier elides checks: firings skip per-access tape checks and
     /// post-firing rate validation.
     pub work_certified: bool,
     /// Same for the first-firing phase.
     pub init_certified: bool,
     /// Firings execute the compiled bytecode (`lowered.*.code`) instead
-    /// of tree-walking the resolved body. Sampled once at construction
-    /// from [`set_bytecode_tier`] / `STREAMLIN_NO_BYTECODE`.
+    /// of tree-walking the resolved body.
     pub use_bytecode: bool,
 }
 
 impl InterpState {
     /// Instantiates runtime storage for a filter from its elaborated
     /// initial state (one deep copy per instantiation — the graph hands
-    /// out `Rc`s, the runtime needs thread-shareable nodes).
+    /// out `Rc`s, the runtime needs thread-shareable nodes), on the
+    /// default [`Tier`].
     pub fn new(inst: &FilterInst) -> Self {
         let globals = inst
             .lowered
@@ -114,21 +116,26 @@ impl InterpState {
             })
             .collect();
         let frame = vec![Cell::Scalar(DataType::Int, Value::Int(0)); inst.lowered.frame_slots()];
-        let elide = cert_elision_enabled();
-        InterpState {
-            work_certified: elide && inst.facts.work.cert.is_some(),
-            init_certified: elide
-                && inst
-                    .facts
-                    .init_work
-                    .as_ref()
-                    .is_some_and(|p| p.cert.is_some()),
+        let mut state = InterpState {
             inst: Arc::new(inst.clone()),
             globals,
             frame,
             first: true,
-            use_bytecode: bytecode_enabled(),
-        }
+            work_certified: false,
+            init_certified: false,
+            use_bytecode: false,
+        };
+        state.set_tier(Tier::default());
+        state
+    }
+
+    /// Switches this node's tier (before its first firing).
+    pub fn set_tier(&mut self, tier: Tier) {
+        let facts = &self.inst.facts;
+        self.use_bytecode = tier.bytecode;
+        self.work_certified = tier.cert_elision && facts.work.cert.is_some();
+        self.init_certified =
+            tier.cert_elision && facts.init_work.as_ref().is_some_and(|p| p.cert.is_some());
     }
 }
 
@@ -210,7 +217,7 @@ pub struct FlatNode {
 }
 
 /// A flattened program.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FlatGraph {
     /// All nodes.
     pub nodes: Vec<FlatNode>,
@@ -218,6 +225,23 @@ pub struct FlatGraph {
     pub num_channels: usize,
     /// Initial channel contents (feedback `enqueue`s).
     pub initial: Vec<(usize, Vec<f64>)>,
+}
+
+impl FlatGraph {
+    /// Applies `tier` to every interpreted node, including the
+    /// interpreted kernels of fission duplicates.
+    pub fn set_tier(&mut self, tier: Tier) {
+        for node in &mut self.nodes {
+            match &mut node.kind {
+                NodeKind::Interp(s)
+                | NodeKind::FissWorker(FissWorker {
+                    kernel: FissKernel::Interp(s),
+                    ..
+                }) => s.set_tier(tier),
+                _ => {}
+            }
+        }
+    }
 }
 
 /// Flattens an optimized stream.

@@ -40,7 +40,7 @@
 //!   loops.
 //!
 //! On top of the static plan sits the **pipeline-parallel executor**
-//! ([`measure::profile_threads`], `streamlinc --threads N`): [`partition`]
+//! ([`RunSpec::threads`], `streamlinc --threads N`): [`mod@partition`]
 //! cuts the planned graph into cost-balanced contiguous stages and
 //! [`parallel`] runs each stage's slice of the schedule on its own
 //! pooled worker thread ([`pool`] keeps the threads across runs), handing
@@ -51,7 +51,7 @@
 //!
 //! When the cost model's dominant node is stateless or a linear/frequency
 //! kernel, **data-parallel fission** ([`fission`],
-//! [`measure::profile_fission`], `streamlinc --fission auto|off|N`)
+//! [`RunSpec::fission`], `streamlinc --fission auto|off|N`)
 //! rewrites the flat graph to `W` round-robin duplicates behind a
 //! synthesized splitter/joiner pair before partitioning, so a graph
 //! dominated by one node can still use every stage — with the same
@@ -61,12 +61,19 @@
 //! `print`/`println` values) has been produced. Both schedulers execute
 //! identical firing semantics, so their printed output is bit-identical.
 //!
+//! One value selects everything about a run: a [`RunSpec`] (scheduler,
+//! mode, matmul strategy, threads, fission, quantum, watchdog, fallback,
+//! interpreter [`Tier`], output count). [`compile`] turns an optimized
+//! stream into an [`measure::Artifact`], [`open_session`] instantiates a
+//! resident [`session::StreamExec`] from it, and [`run`] is the two
+//! composed with one read — the one-shot profile.
+//!
 //! Everything above is additionally generic over a telemetry
 //! [`streamlin_support::Probe`] on the same zero-cost pattern as the
 //! tally: production runs instantiate [`streamlin_support::NoProbe`]
 //! (every record site compiles away — bit-identical outputs, unchanged
-//! throughput), while [`measure::profile_recorded`] instantiates
-//! [`streamlin_support::Recorder`] and captures compile-phase spans,
+//! throughput), while a [`run`] handed a [`streamlin_support::Recorder`]
+//! captures compile-phase spans,
 //! per-stage busy/stall time, ring occupancy high-water marks and
 //! full/empty stall counts, coordinator quantum waits, and per-node
 //! firing costs against the cost model — exported as a human summary
@@ -77,7 +84,7 @@
 //!
 //! ```
 //! use streamlin_core::opt::OptStream;
-//! use streamlin_runtime::measure::profile;
+//! use streamlin_runtime::{run, RunSpec};
 //!
 //! let p = streamlin_lang::parse(
 //!     "void->void pipeline Main { add S(); add K(); }
@@ -87,7 +94,7 @@
 //! .unwrap();
 //! let g = streamlin_graph::elaborate(&p).unwrap();
 //! let opt = OptStream::from_graph(&g);
-//! let prof = profile(&opt, 5, Default::default()).unwrap();
+//! let prof = run(&opt, &RunSpec::new(5), None, None).unwrap();
 //! assert_eq!(prof.outputs, vec![0.0, 2.0, 4.0, 6.0, 8.0]);
 //! ```
 
@@ -101,21 +108,22 @@ pub mod partition;
 pub mod plan;
 pub mod pool;
 pub mod ring;
+pub mod session;
 pub mod telemetry;
 
 pub use engine::{Engine, RunError};
 pub use fission::{fiss_bottleneck, fissability, Fission, FissionInfo};
-pub use flat::{set_bytecode_tier, set_cert_elision};
+pub use flat::Tier;
 pub use linear_exec::MatMulStrategy;
 pub use measure::{
-    profile, profile_fission, profile_mode, profile_recorded, profile_sched, profile_supervised,
-    profile_threads, ExecMode, Profile, Scheduler, Supervision,
+    compile, first_mismatch, profile_supervised, run, Artifact, ExecMode, Profile, ProfileError,
+    RunSpec, Scheduler, Supervision,
 };
 pub use parallel::{
-    parse_quantum, resolve_quantum, resolve_quantum_checked, run_pipeline, run_pipeline_probed,
-    run_pipeline_quantized, run_pipeline_supervised, PipelineOutcome, PipelineSession,
-    CYCLE_QUANTUM,
+    parse_quantum, resolve_quantum, resolve_quantum_checked, run_pipeline_quantized,
+    PipelineOutcome, PipelineSession, CYCLE_QUANTUM,
 };
 pub use partition::{partition, Partition};
 pub use plan::{ExecPlan, PlanEngine, PlanError};
+pub use session::{open_session, CloseReport, Instruments, ReadOut, StreamExec};
 pub use telemetry::{validate_trace, TraceShape};

@@ -1,4 +1,6 @@
-//! Profiling: one call from an optimized stream to measured results.
+//! The run API: one [`RunSpec`] through one compile path ([`compile`])
+//! and one session path ([`crate::session::open_session`]); [`run`] is
+//! the one-shot composition of the two.
 //!
 //! Mirrors the paper's measurement methodology (§5.1): programs run for a
 //! fixed number of outputs; floating-point operations and multiplications
@@ -7,16 +9,18 @@
 
 use std::time::{Duration, Instant};
 
+use streamlin_core::cost::CostModel;
 use streamlin_core::opt::OptStream;
-use streamlin_support::{
-    FaultPlan, InjectFaults, NoCount, NoFault, NoProbe, OpCounter, Probe, Recorder, Tally,
-};
+use streamlin_support::{FaultPlan, InjectFaults, NoFault, NoProbe, OpCounter, Probe, Recorder};
 
-use crate::engine::{Engine, RunError};
+use crate::engine::RunError;
 use crate::fission::{self, Fission};
-use crate::flat::{flatten, FlatGraph, FlattenError};
+use crate::flat::{flatten, FlatGraph, FlattenError, Tier};
 use crate::linear_exec::MatMulStrategy;
-use crate::plan::{self, ExecPlan, PlanEngine, PlanError};
+use crate::parallel::resolve_quantum;
+use crate::partition::{partition, Partition};
+use crate::plan::{self, ExecPlan, PlanError};
+use crate::session::{open_graphs, Instruments};
 
 /// Which scheduler executes the flattened graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -47,7 +51,8 @@ impl Scheduler {
 /// The paper's experiments (§5.1) count every floating-point instruction;
 /// our runtime reproduces that with [`OpCounter`]. Production execution
 /// should not carry that tax, so the kernels are generic over
-/// [`Tally`] and the profiler monomorphizes the whole engine twice:
+/// [`streamlin_support::Tally`] and sessions monomorphize the whole
+/// engine twice:
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecMode {
     /// Count every floating-point operation ([`streamlin_support::CountOps`]).
@@ -176,268 +181,298 @@ impl From<PlanError> for ProfileError {
     }
 }
 
-/// Runs an optimized stream until it produces `outputs` values and
-/// returns the measurements, under the default scheduler
-/// ([`Scheduler::Auto`]: the compiled static plan, with the data-driven
-/// engine as fallback for unplannable graphs).
-///
-/// # Errors
-///
-/// Propagates flattening and execution errors.
-pub fn profile(
-    opt: &OptStream,
-    outputs: usize,
-    strategy: MatMulStrategy,
-) -> Result<Profile, ProfileError> {
-    profile_sched(opt, outputs, strategy, Scheduler::Auto)
+/// Everything that selects how one run executes: the one value every
+/// execution entry point takes ([`compile`],
+/// [`crate::session::open_session`], [`run`]). Environment variables
+/// never reach the runtime; the CLI and daemon read them once into this
+/// spec.
+#[derive(Debug, Clone)]
+pub struct RunSpec {
+    /// Program outputs a one-shot [`run`] produces.
+    pub outputs: usize,
+    pub sched: Scheduler,
+    pub mode: ExecMode,
+    /// Matrix-multiply strategy; `None` takes the mode's default
+    /// ([`ExecMode::default_strategy`]).
+    pub matmul: Option<MatMulStrategy>,
+    /// Pipeline stage budget: `Some(n)` runs the static plan on the
+    /// pipeline-parallel executor over at most `n` cost-balanced stages
+    /// ([`mod@crate::partition`], [`crate::parallel`]); tallies and firing
+    /// counts are identical across thread counts. `None` runs the
+    /// single-threaded engines.
+    pub threads: Option<usize>,
+    /// Data-parallel fission of the dominant node ([`crate::fission`]).
+    /// Fission runs on the pipeline executor, so a lone fission request
+    /// implies a one-stage pipeline ([`RunSpec::pipeline_threads`]).
+    pub fission: Fission,
+    /// Cycle quantum of the pipeline pacing protocol, in original steady
+    /// cycles; `0` resolves through [`crate::parallel::resolve_quantum`].
+    /// Also bounds fission's cycle expansion (the scale must divide it).
+    pub quantum: u64,
+    /// Wall-clock no-progress deadline for the pipeline watchdog. `None`
+    /// leaves the blocking coordinator in place (armed fault plans still
+    /// get a built-in deadline so injection can never hang a run).
+    pub watchdog: Option<Duration>,
+    /// Keep the canonical pre-fission plan so a *degradable* pipeline
+    /// failure ([`RunError::is_degradable`]: a stall or a lost worker,
+    /// never a program error) replays on the single-threaded static plan
+    /// and reports [`Profile::degraded`].
+    pub fallback: bool,
+    /// How interpreted filters execute (bit-identical across tiers).
+    pub tier: Tier,
 }
 
-/// [`profile`] with an explicit scheduler choice.
-///
-/// # Errors
-///
-/// Propagates flattening and execution errors; additionally
-/// [`ProfileError::Plan`] when [`Scheduler::Static`] is requested for a
-/// graph with no static schedule (e.g. a feedback loop).
-pub fn profile_sched(
-    opt: &OptStream,
-    outputs: usize,
-    strategy: MatMulStrategy,
-    sched: Scheduler,
-) -> Result<Profile, ProfileError> {
-    profile_mode(opt, outputs, strategy, sched, ExecMode::Measured)
-}
+impl RunSpec {
+    /// `outputs` values under every default: auto scheduler, measured
+    /// mode, single-threaded, no fission, default quantum and tier, no
+    /// watchdog, no fallback.
+    pub fn new(outputs: usize) -> Self {
+        RunSpec {
+            outputs,
+            sched: Scheduler::Auto,
+            mode: ExecMode::Measured,
+            matmul: None,
+            threads: None,
+            fission: Fission::Off,
+            quantum: 0,
+            watchdog: None,
+            fallback: false,
+            tier: Tier::default(),
+        }
+    }
 
-/// [`profile_sched`] with an explicit execution mode: [`ExecMode::Fast`]
-/// runs the identical schedule and kernels monomorphized over the
-/// zero-sized [`NoCount`] tally — same outputs bit for bit, no
-/// instruction accounting, vectorizable hot loops.
-///
-/// # Errors
-///
-/// As [`profile_sched`].
-pub fn profile_mode(
-    opt: &OptStream,
-    outputs: usize,
-    strategy: MatMulStrategy,
-    sched: Scheduler,
-    mode: ExecMode,
-) -> Result<Profile, ProfileError> {
-    match mode {
-        ExecMode::Measured => profile_with::<OpCounter, NoProbe, NoFault>(
-            opt,
-            outputs,
-            strategy,
-            sched,
-            mode,
-            None,
-            Fission::Off,
-            NoFault,
-            &Supervision::disabled(),
-            &mut NoProbe,
-        ),
-        ExecMode::Fast => profile_with::<NoCount, NoProbe, NoFault>(
-            opt,
-            outputs,
-            strategy,
-            sched,
-            mode,
-            None,
-            Fission::Off,
-            NoFault,
-            &Supervision::disabled(),
-            &mut NoProbe,
-        ),
+    /// The matrix-multiply strategy the run executes with.
+    pub fn strategy(&self) -> MatMulStrategy {
+        self.matmul.unwrap_or_else(|| self.mode.default_strategy())
+    }
+
+    /// The pipeline stage budget after normalization: `threads`, or one
+    /// stage when fission is requested without a thread count.
+    pub fn pipeline_threads(&self) -> Option<usize> {
+        match (self.threads, self.fission) {
+            (None, Fission::Off) => None,
+            (threads, _) => Some(threads.unwrap_or(1)),
+        }
     }
 }
 
-/// [`profile_mode`] on the **pipeline-parallel executor**: the static
-/// plan is cut into at most `threads` cost-balanced stages
-/// ([`crate::partition`]) and each stage runs its slice of the schedule on
-/// its own worker thread ([`crate::parallel`]). Printed outputs are
-/// bit-identical to the single-threaded static plan for every thread
-/// count; tallies and firing counts are identical across thread counts
-/// (runs are quantized to whole steady cycles — `threads == 1` uses the
-/// same quantization, so the thread sweep is exactly comparable).
-///
-/// Graphs without a static plan (feedback loops) fall back to the
-/// single-threaded data-driven engine under [`Scheduler::Auto`], exactly
-/// like [`profile_mode`].
-///
-/// # Errors
-///
-/// As [`profile_sched`].
-pub fn profile_threads(
-    opt: &OptStream,
-    outputs: usize,
-    strategy: MatMulStrategy,
-    sched: Scheduler,
-    mode: ExecMode,
-    threads: usize,
-) -> Result<Profile, ProfileError> {
-    profile_fission(opt, outputs, strategy, sched, mode, threads, Fission::Off)
+/// A compiled program, ready to open sessions on: the output of
+/// [`compile`], shared by the daemon's plan cache across streams.
+#[derive(Debug)]
+pub struct Artifact {
+    /// The graph to execute: post-fission when the pass engaged.
+    pub flat: FlatGraph,
+    /// The compiled static schedule; `None` = data-driven execution
+    /// (feedback loops under `auto`, or [`Scheduler::Dynamic`]).
+    pub plan: Option<ExecPlan>,
+    /// The pipeline partition, present when the run has a stage budget
+    /// and a plan.
+    pub part: Option<Partition>,
+    /// The canonical *pre-fission* graph and plan: the single-threaded
+    /// replay source for graceful degradation, kept for pipeline
+    /// artifacts when [`RunSpec::fallback`] is on.
+    pub canonical: Option<(FlatGraph, ExecPlan)>,
+    /// Original steady cycles one post-fission cycle spans.
+    pub scale: u64,
+    /// Fission width that was actually applied (1 = unfissed).
+    pub width: usize,
+    /// Resolved cycle quantum baked into this artifact.
+    pub quantum: u64,
+    /// Wall-clock cost of compilation, in milliseconds.
+    pub compile_ms: f64,
 }
 
-/// [`profile_threads`] with **data-parallel fission** of the dominant
-/// node ([`crate::fission`]): when the cost model's most expensive node
-/// is stateless or a linear/frequency kernel, the flat graph is rewritten
-/// to `W` round-robin duplicates behind a synthesized splitter/joiner
-/// pair, the plan is recompiled, and the partitioned pipeline runs the
-/// fissed graph. Printed outputs stay bit-identical to the unfissed
-/// static plan and tallies/firing counts are invariant across fission
-/// widths (including width 1 — see the fission module's determinism
-/// contract). Graphs whose dominant node is not safely duplicable run
-/// unfissed; `Profile::fission` records what actually happened.
-///
-/// # Errors
-///
-/// As [`profile_sched`].
-pub fn profile_fission(
-    opt: &OptStream,
-    outputs: usize,
-    strategy: MatMulStrategy,
-    sched: Scheduler,
-    mode: ExecMode,
-    threads: usize,
-    fission: Fission,
-) -> Result<Profile, ProfileError> {
-    match mode {
-        ExecMode::Measured => profile_with::<OpCounter, NoProbe, NoFault>(
-            opt,
-            outputs,
-            strategy,
-            sched,
-            mode,
-            Some(threads),
-            fission,
-            NoFault,
-            &Supervision::disabled(),
-            &mut NoProbe,
-        ),
-        ExecMode::Fast => profile_with::<NoCount, NoProbe, NoFault>(
-            opt,
-            outputs,
-            strategy,
-            sched,
-            mode,
-            Some(threads),
-            fission,
-            NoFault,
-            &Supervision::disabled(),
-            &mut NoProbe,
-        ),
+impl Artifact {
+    /// Worker threads a session of this artifact occupies (the
+    /// partition's actual stage count, which may be below the requested
+    /// budget); 1 for single-threaded execution.
+    pub fn workers_needed(&self) -> usize {
+        self.part.as_ref().map_or(1, |p| p.num_stages)
     }
 }
 
-/// The **instrumented** profiler: the same execution as the other
-/// `profile_*` entry points (same schedules, same kernels, bit-identical
-/// outputs — pinned by `tests/telemetry_equivalence.rs`), with every
-/// compile phase, firing batch, stall and ring-occupancy sample recorded
-/// into `rec`. `threads: None` selects the classic single-threaded
-/// engine, exactly like [`profile_mode`]; `Some(n)` the pipeline
-/// executor, exactly like [`profile_fission`].
-///
-/// The recorder also collects the run's *decision notes* — fission
-/// engagement or refusal reason, partition shape, schedule summary, pool
-/// acquisition — which the CLI prints under `--emit-graph` and exports
-/// as trace instants under `--trace-out`.
+/// Compiles an optimized stream for `spec`: flatten → plan → fission →
+/// partition, plus the canonical pre-fission pair when fallback is on.
+/// The tier is not applied here (sessions apply it to their own copy),
+/// so one artifact serves every tier. An enabled probe records the
+/// compile phases, the node names and cost-model predictions of the
+/// graph that executes, and the `fission`/`schedule`/`pipeline`
+/// decision notes. `fault` can veto fission (the `nofission` drill).
 ///
 /// # Errors
 ///
-/// As [`profile_sched`].
-#[allow(clippy::too_many_arguments)]
-pub fn profile_recorded(
+/// Flattening errors; [`ProfileError::Plan`] when
+/// [`Scheduler::Static`] is requested for a graph with no static
+/// schedule (e.g. a feedback loop).
+pub fn compile<P: Probe>(
     opt: &OptStream,
-    outputs: usize,
-    strategy: MatMulStrategy,
-    sched: Scheduler,
-    mode: ExecMode,
-    threads: Option<usize>,
-    fission: Fission,
-    rec: &mut Recorder,
-) -> Result<Profile, ProfileError> {
-    match mode {
-        ExecMode::Measured => profile_with::<OpCounter, Recorder, NoFault>(
-            opt,
-            outputs,
-            strategy,
-            sched,
-            mode,
-            threads,
-            fission,
-            NoFault,
-            &Supervision::disabled(),
-            rec,
-        ),
-        ExecMode::Fast => profile_with::<NoCount, Recorder, NoFault>(
-            opt,
-            outputs,
-            strategy,
-            sched,
-            mode,
-            threads,
-            fission,
-            NoFault,
-            &Supervision::disabled(),
-            rec,
-        ),
+    spec: &RunSpec,
+    probe: &mut P,
+    fault: Option<&InjectFaults>,
+) -> Result<Artifact, ProfileError> {
+    let start = Instant::now();
+    let t0 = probe.now();
+    let flat = flatten(opt, spec.strategy())?;
+    if P::ENABLED {
+        probe.phase("flatten", t0);
     }
+    let t0 = probe.now();
+    let plan = match spec.sched {
+        Scheduler::Dynamic => None,
+        Scheduler::Static => Some(plan::compile(&flat)?),
+        // `has_feedback` is a cheap structural pre-check; the compiler
+        // still validates everything else (rates, bounds).
+        Scheduler::Auto if opt.has_feedback() => None,
+        Scheduler::Auto => plan::compile(&flat).ok(),
+    };
+    if P::ENABLED {
+        probe.phase("plan", t0);
+    }
+    let threads = spec.pipeline_threads();
+    let canonical = match (&plan, threads) {
+        (Some(p), Some(_)) if spec.fallback => Some((flat.clone(), p.clone())),
+        _ => None,
+    };
+    // Fission rewrites the flat graph; under `Scheduler::Dynamic` the
+    // plan is still compiled (when possible) purely to drive the fission
+    // decision, and the fissed graph then runs data-driven — the fuzz
+    // suite differentially checks that path too.
+    let quantum = resolve_quantum(spec.quantum);
+    let (keep_plan, fiss_plan) = match (plan, spec.sched) {
+        (Some(plan), _) => (true, Some(plan)),
+        (None, Scheduler::Dynamic) if spec.fission != Fission::Off => {
+            (false, plan::compile(&flat).ok())
+        }
+        (None, _) => (false, None),
+    };
+    let (flat, plan, scale, width) = match fiss_plan {
+        Some(plan) => {
+            let fission = spec.fission;
+            let pipeline = threads.unwrap_or(1);
+            let (f, p, s, w) = apply_fission(flat, plan, fission, pipeline, probe, fault, quantum);
+            (f, keep_plan.then_some(p), s, w)
+        }
+        None => (flat, None, 1, 1),
+    };
+    let model = CostModel::default();
+    if P::ENABLED {
+        // Name the nodes of the graph that actually executes (including
+        // fission duplicates) and record the cost model's per-firing
+        // predictions, so the metrics report can show measured-vs-
+        // predicted per node.
+        for (i, node) in flat.nodes.iter().enumerate() {
+            probe.node_name(i, &node.name);
+            probe.node_cost(i, crate::partition::firing_cost(node, &model));
+        }
+        match &plan {
+            Some(p) => probe.note("schedule", &p.summary()),
+            None => probe.note("schedule", "data-driven (no static plan)"),
+        }
+    }
+    let part = match (&plan, threads) {
+        (Some(p), Some(threads)) => {
+            let t0 = probe.now();
+            let part = partition(&flat, p, threads, &model);
+            if P::ENABLED {
+                probe.phase("partition", t0);
+                probe.note("pipeline", &part.summary());
+            }
+            Some(part)
+        }
+        _ => None,
+    };
+    Ok(Artifact {
+        flat,
+        plan,
+        part,
+        canonical,
+        scale,
+        width,
+        quantum,
+        compile_ms: start.elapsed().as_secs_f64() * 1e3,
+    })
+}
+
+/// Runs an optimized stream until it produces `spec.outputs` values and
+/// returns the measurements: [`compile`], then
+/// [`crate::session::open_session`], one read, and close. Outputs are
+/// bit-identical for every scheduler, mode, thread count, fission width
+/// and tier; tallies and firing counts are identical across thread
+/// counts and fission widths.
+///
+/// `rec` collects compile phases, firing batches, stalls, ring
+/// occupancy and the run's decision notes (which `streamlinc` prints
+/// under `--emit-graph`); `fault` arms the deterministic injection sites
+/// of the pipeline executor, the worker pool and the fission pass (see
+/// [`streamlin_support::fault`]). Single-threaded runs execute unfaulted.
+///
+/// # Errors
+///
+/// As [`compile`], plus execution errors; with fallback off,
+/// [`RunError::Stalled`]/[`RunError::WorkerLost`] from the supervisor.
+pub fn run(
+    opt: &OptStream,
+    spec: &RunSpec,
+    mut rec: Option<&mut Recorder>,
+    fault: Option<&InjectFaults>,
+) -> Result<Profile, ProfileError> {
+    let mut art = match rec.as_deref_mut() {
+        Some(r) => compile(opt, spec, r, fault)?,
+        None => compile(opt, spec, &mut NoProbe, fault)?,
+    };
+    let instruments = Instruments {
+        rec: rec.as_deref_mut().map(std::mem::take),
+        fault: fault.map(InjectFaults::fork),
+    };
+    let sched = if art.plan.is_some() {
+        Scheduler::Static
+    } else {
+        Scheduler::Dynamic
+    };
+    let (threads, fission) = (art.workers_needed(), art.width);
+    let start = Instant::now();
+    // The artifact is this run's alone: hand its graphs over uncopied.
+    let graphs = (std::mem::take(&mut art.flat), art.canonical.take());
+    let mut exec = open_graphs(&art, graphs, spec, instruments)?;
+    drop(art);
+    let read = exec.read(spec.outputs);
+    let report = exec.close();
+    if let (Some(slot), Some(r)) = (rec, report.probe) {
+        *slot = r;
+    }
+    let outputs = read?.values;
+    let degraded = report.degraded;
+    Ok(Profile {
+        wall: start.elapsed(),
+        outputs,
+        ops: report.ops,
+        firings: report.firings,
+        sched,
+        mode: spec.mode,
+        threads: if degraded.is_some() { 1 } else { threads },
+        fission: if degraded.is_some() { 1 } else { fission },
+        degraded,
+    })
 }
 
 /// Supervisor configuration for [`profile_supervised`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Supervision {
-    /// Wall-clock no-progress deadline for the pipeline watchdog. `None`
-    /// leaves the blocking coordinator in place (armed fault plans still
-    /// get a built-in deadline so injection can never hang a run).
+    /// As [`RunSpec::watchdog`].
     pub watchdog: Option<Duration>,
-    /// When a supervised pipeline run fails with a *degradable* error
-    /// ([`RunError::is_degradable`]: a stall or a lost worker — never a
-    /// program error, which would just recur), re-execute on the
-    /// single-threaded static plan and report success with
-    /// [`Profile::degraded`] set.
+    /// As [`RunSpec::fallback`].
     pub fallback: bool,
-    /// Cycle quantum of the pipeline pacing protocol, in original steady
-    /// cycles. `0` (the default) resolves through
-    /// [`crate::parallel::resolve_quantum`]: the
-    /// `STREAMLIN_CYCLE_QUANTUM` environment variable when set, else
-    /// [`crate::parallel::CYCLE_QUANTUM`]. Also bounds fission's cycle
-    /// expansion (the scale must divide the quantum).
+    /// As [`RunSpec::quantum`].
     pub quantum: u64,
 }
 
-impl Supervision {
-    /// No watchdog, no fallback, default quantum: the exact behavior of
-    /// the unsupervised entry points.
-    pub const fn disabled() -> Self {
-        Supervision {
-            watchdog: None,
-            fallback: false,
-            quantum: 0,
-        }
-    }
-}
-
-/// The **supervised** profiler: [`profile_recorded`]'s execution matrix
-/// (tally × probe), extended with a fault-injection plan and a
-/// supervisor policy. This is the entry `streamlinc` routes every run
-/// through: with `fault: None` and `sup` disabled it monomorphizes to
-/// exactly the unsupervised profiler ([`NoFault`]'s injection sites and
-/// the supervision branches compile away).
-///
-/// An armed `fault` drives the deterministic injection sites threaded
-/// through the pipeline executor, the worker pool and the fission pass
-/// (see [`streamlin_support::fault`] for the spec grammar); `sup`
-/// controls the watchdog deadline and whether degradable failures are
-/// replayed on the single-threaded static plan. Fault sites live in the
-/// parallel executor — single-threaded runs (no static plan, or
-/// `threads: None`) execute unfaulted.
+/// [`run`] under positional arguments. This adapter exists for the
+/// benchmark tracer (`streambench/tracer`), which builds against this
+/// signature; everything else calls [`run`] with a [`RunSpec`].
 ///
 /// # Errors
 ///
-/// As [`profile_sched`]; additionally surfaces
-/// [`RunError::Stalled`]/[`RunError::WorkerLost`] from the supervisor
-/// when fallback is off (or the fallback itself fails).
+/// As [`run`].
 #[allow(clippy::too_many_arguments)]
 pub fn profile_supervised(
     opt: &OptStream,
@@ -451,88 +486,18 @@ pub fn profile_supervised(
     fault: Option<&InjectFaults>,
     rec: Option<&mut Recorder>,
 ) -> Result<Profile, ProfileError> {
-    // 2 tallies × 2 probes × 2 fault plans, monomorphized: the fork of
-    // an `InjectFaults` shares its refusal budget with the caller's copy.
-    match (mode, rec, fault) {
-        (ExecMode::Measured, Some(rec), Some(f)) => profile_with::<OpCounter, Recorder, _>(
-            opt,
-            outputs,
-            strategy,
-            sched,
-            mode,
-            threads,
-            fission,
-            f.fork(),
-            sup,
-            rec,
-        ),
-        (ExecMode::Measured, Some(rec), None) => profile_with::<OpCounter, Recorder, NoFault>(
-            opt, outputs, strategy, sched, mode, threads, fission, NoFault, sup, rec,
-        ),
-        (ExecMode::Measured, None, Some(f)) => profile_with::<OpCounter, NoProbe, _>(
-            opt,
-            outputs,
-            strategy,
-            sched,
-            mode,
-            threads,
-            fission,
-            f.fork(),
-            sup,
-            &mut NoProbe,
-        ),
-        (ExecMode::Measured, None, None) => profile_with::<OpCounter, NoProbe, NoFault>(
-            opt,
-            outputs,
-            strategy,
-            sched,
-            mode,
-            threads,
-            fission,
-            NoFault,
-            sup,
-            &mut NoProbe,
-        ),
-        (ExecMode::Fast, Some(rec), Some(f)) => profile_with::<NoCount, Recorder, _>(
-            opt,
-            outputs,
-            strategy,
-            sched,
-            mode,
-            threads,
-            fission,
-            f.fork(),
-            sup,
-            rec,
-        ),
-        (ExecMode::Fast, Some(rec), None) => profile_with::<NoCount, Recorder, NoFault>(
-            opt, outputs, strategy, sched, mode, threads, fission, NoFault, sup, rec,
-        ),
-        (ExecMode::Fast, None, Some(f)) => profile_with::<NoCount, NoProbe, _>(
-            opt,
-            outputs,
-            strategy,
-            sched,
-            mode,
-            threads,
-            fission,
-            f.fork(),
-            sup,
-            &mut NoProbe,
-        ),
-        (ExecMode::Fast, None, None) => profile_with::<NoCount, NoProbe, NoFault>(
-            opt,
-            outputs,
-            strategy,
-            sched,
-            mode,
-            threads,
-            fission,
-            NoFault,
-            sup,
-            &mut NoProbe,
-        ),
-    }
+    let spec = RunSpec {
+        matmul: Some(strategy),
+        sched,
+        mode,
+        threads,
+        fission,
+        watchdog: sup.watchdog,
+        fallback: sup.fallback,
+        quantum: sup.quantum,
+        ..RunSpec::new(outputs)
+    };
+    run(opt, &spec, rec, fault)
 }
 
 /// Applies the fission pass to a planned graph, recompiling the plan.
@@ -540,13 +505,13 @@ pub fn profile_supervised(
 /// The decision — engagement summary or refusal reason — is recorded as a
 /// `fission` note on the probe, so instrumented runs surface *why* the
 /// pass did or did not fire.
-fn apply_fission<P: Probe, F: FaultPlan>(
+fn apply_fission<P: Probe>(
     flat: FlatGraph,
     plan: ExecPlan,
     fission: Fission,
     threads: usize,
     probe: &mut P,
-    fault: &F,
+    fault: Option<&InjectFaults>,
     quantum: u64,
 ) -> (FlatGraph, ExecPlan, u64, usize) {
     if fission == Fission::Off {
@@ -554,8 +519,12 @@ fn apply_fission<P: Probe, F: FaultPlan>(
         return (flat, plan, 1, 1);
     }
     let t0 = probe.now();
-    let model = streamlin_core::cost::CostModel::default();
-    match fission::fiss_bottleneck(&flat, &plan, fission, threads, &model, fault, quantum) {
+    let model = CostModel::default();
+    let fissed = match fault {
+        Some(f) => fission::fiss_bottleneck(&flat, &plan, fission, threads, &model, f, quantum),
+        None => fission::fiss_bottleneck(&flat, &plan, fission, threads, &model, &NoFault, quantum),
+    };
+    match fissed {
         Ok((fissed, info)) => match plan::compile(&fissed) {
             Ok(p2) => {
                 if P::ENABLED {
@@ -587,213 +556,6 @@ fn apply_fission<P: Probe, F: FaultPlan>(
     }
 }
 
-/// The profiler body, monomorphized per tally and probe. `threads:
-/// Some(n)` selects the pipeline executor over the planned graph; `None`
-/// the classic single-threaded [`PlanEngine`]. With [`NoProbe`] every
-/// record site compiles away; an enabled probe collects compile-phase
-/// spans (flatten/plan/fission/partition), node names and cost-model
-/// predictions for the graph that actually executes, and the engines'
-/// runtime telemetry.
-#[allow(clippy::too_many_arguments)]
-fn profile_with<T: Tally + Default + Send + 'static, P: Probe + Send + 'static, F: FaultPlan>(
-    opt: &OptStream,
-    outputs: usize,
-    strategy: MatMulStrategy,
-    sched: Scheduler,
-    mode: ExecMode,
-    threads: Option<usize>,
-    fission: Fission,
-    fault: F,
-    sup: &Supervision,
-    probe: &mut P,
-) -> Result<Profile, ProfileError> {
-    let t0 = probe.now();
-    let flat = flatten(opt, strategy)?;
-    if P::ENABLED {
-        probe.phase("flatten", t0);
-    }
-    let t0 = probe.now();
-    let compiled = match sched {
-        Scheduler::Dynamic => None,
-        Scheduler::Static => Some(plan::compile(&flat)?),
-        // `has_feedback` is a cheap structural pre-check; the compiler
-        // still validates everything else (rates, bounds).
-        Scheduler::Auto if opt.has_feedback() => None,
-        Scheduler::Auto => plan::compile(&flat).ok(),
-    };
-    if P::ENABLED {
-        probe.phase("plan", t0);
-    }
-    // Canonical single-threaded source for graceful degradation: the
-    // pre-fission graph and plan, retained only when a supervised
-    // pipeline run could need to replay on them.
-    let fallback_src: Option<(FlatGraph, ExecPlan)> = match (&compiled, threads) {
-        (Some(p), Some(_)) if sup.fallback => Some((flat.clone(), p.clone())),
-        _ => None,
-    };
-    // Fission rewrites the flat graph; under `Scheduler::Dynamic` the
-    // plan is still compiled (when possible) purely to drive the fission
-    // decision, and the fissed graph then runs data-driven — the fuzz
-    // suite differentially checks that path too.
-    let quantum = crate::parallel::resolve_quantum(sup.quantum);
-    let (flat, compiled, scale, width) = match (compiled, sched) {
-        (Some(plan), _) => {
-            let (f, p, s, w) = apply_fission(
-                flat,
-                plan,
-                fission,
-                threads.unwrap_or(1),
-                probe,
-                &fault,
-                quantum,
-            );
-            (f, Some(p), s, w)
-        }
-        (None, Scheduler::Dynamic) if fission != Fission::Off => match plan::compile(&flat) {
-            Ok(plan) => {
-                let (f, _, s, w) = apply_fission(
-                    flat,
-                    plan,
-                    fission,
-                    threads.unwrap_or(1),
-                    probe,
-                    &fault,
-                    quantum,
-                );
-                (f, None, s, w)
-            }
-            Err(_) => (flat, None, 1, 1),
-        },
-        (None, _) => (flat, None, 1, 1),
-    };
-    if P::ENABLED {
-        // Name the nodes of the graph that actually executes (including
-        // fission duplicates) and record the cost model's per-firing
-        // predictions, so the metrics report can show measured-vs-
-        // predicted per node.
-        let model = streamlin_core::cost::CostModel::default();
-        for (i, node) in flat.nodes.iter().enumerate() {
-            probe.node_name(i, &node.name);
-            probe.node_cost(i, crate::partition::firing_cost(node, &model));
-        }
-        match &compiled {
-            Some(p) => probe.note("schedule", &p.summary()),
-            None => probe.note("schedule", "data-driven (no static plan)"),
-        }
-    }
-    let mut prof = match (compiled, threads) {
-        (Some(plan), Some(threads)) => {
-            let t0 = probe.now();
-            let part = crate::partition::partition(
-                &flat,
-                &plan,
-                threads,
-                &streamlin_core::cost::CostModel::default(),
-            );
-            if P::ENABLED {
-                probe.phase("partition", t0);
-                probe.note("pipeline", &part.summary());
-            }
-            let start = Instant::now();
-            match crate::parallel::run_pipeline_quantized::<T, P, F>(
-                flat,
-                &plan,
-                &part,
-                outputs,
-                scale,
-                quantum,
-                probe,
-                fault,
-                sup.watchdog,
-            ) {
-                Ok(out) => Profile {
-                    wall: start.elapsed(),
-                    outputs: out.printed,
-                    ops: out.ops,
-                    firings: out.firings,
-                    sched: Scheduler::Static,
-                    mode,
-                    threads: out.stages,
-                    fission: width,
-                    degraded: None,
-                },
-                // Graceful degradation: infrastructure failures (a stall
-                // or a lost worker — never program errors, which would
-                // just recur) replay on the canonical single-threaded
-                // static plan. Bit-identical output is guaranteed by the
-                // determinism contract every executor is pinned against.
-                Err(e) if sup.fallback && e.is_degradable() => {
-                    let Some((fb_flat, fb_plan)) = fallback_src else {
-                        return Err(e.into());
-                    };
-                    if P::ENABLED {
-                        probe.note(
-                            "supervisor",
-                            &format!("degraded: {e}; replaying on the single-threaded static plan"),
-                        );
-                        probe.lane_name(1, "engine (fallback)");
-                    }
-                    let mut engine = PlanEngine::<T>::new(fb_flat, fb_plan);
-                    let start = Instant::now();
-                    engine.run_probed(outputs, probe)?;
-                    Profile {
-                        wall: start.elapsed(),
-                        outputs: engine.printed().to_vec(),
-                        ops: engine.ops().counts(),
-                        firings: engine.firings(),
-                        sched: Scheduler::Static,
-                        mode,
-                        threads: 1,
-                        fission: 1,
-                        degraded: Some(e.to_string()),
-                    }
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-        (Some(plan), None) => {
-            if P::ENABLED {
-                probe.lane_name(1, "engine");
-            }
-            let mut engine = PlanEngine::<T>::new(flat, plan);
-            let start = Instant::now();
-            engine.run_probed(outputs, probe)?;
-            Profile {
-                wall: start.elapsed(),
-                outputs: engine.printed().to_vec(),
-                ops: engine.ops().counts(),
-                firings: engine.firings(),
-                sched: Scheduler::Static,
-                mode,
-                threads: 1,
-                fission: width,
-                degraded: None,
-            }
-        }
-        (None, _) => {
-            if P::ENABLED {
-                probe.lane_name(1, "engine (dynamic)");
-            }
-            let mut engine = Engine::<T>::new(flat);
-            let start = Instant::now();
-            engine.run_probed(outputs, probe)?;
-            Profile {
-                wall: start.elapsed(),
-                outputs: engine.printed().to_vec(),
-                ops: engine.ops().counts(),
-                firings: engine.firings(),
-                sched: Scheduler::Dynamic,
-                mode,
-                threads: 1,
-                fission: width,
-                degraded: None,
-            }
-        }
-    };
-    prof.outputs.truncate(outputs);
-    Ok(prof)
-}
-
 /// Asserts two program outputs agree (element-wise, with tolerance
 /// suitable for frequency-domain round-trips); returns the first
 /// mismatch if any.
@@ -806,6 +568,10 @@ pub fn first_mismatch(a: &[f64], b: &[f64], atol: f64, rtol: f64) -> Option<usiz
 mod tests {
     use super::*;
     use streamlin_core::combine::{analyze_graph, replace, ReplaceOptions};
+
+    fn profile(opt: &OptStream, n: usize) -> Profile {
+        run(opt, &RunSpec::new(n), None, None).unwrap()
+    }
 
     const PROGRAM: &str = "
         void->void pipeline Main { add S(); add F(8); add F(6); add K(); }
@@ -829,25 +595,13 @@ mod tests {
         let analysis = analyze_graph(&g);
         let n = 300;
 
-        let baseline = profile(
-            &replace(&g, &analysis, &ReplaceOptions::per_filter()),
-            n,
-            MatMulStrategy::Unrolled,
-        )
-        .unwrap();
-        let interp = profile(&OptStream::from_graph(&g), n, MatMulStrategy::Unrolled).unwrap();
+        let baseline = profile(&replace(&g, &analysis, &ReplaceOptions::per_filter()), n);
+        let interp = profile(&OptStream::from_graph(&g), n);
         let linear = profile(
             &replace(&g, &analysis, &ReplaceOptions::maximal_linear()),
             n,
-            MatMulStrategy::Unrolled,
-        )
-        .unwrap();
-        let freq = profile(
-            &replace(&g, &analysis, &ReplaceOptions::maximal_freq()),
-            n,
-            MatMulStrategy::Unrolled,
-        )
-        .unwrap();
+        );
+        let freq = profile(&replace(&g, &analysis, &ReplaceOptions::maximal_freq()), n);
 
         assert_eq!(
             first_mismatch(&baseline.outputs, &interp.outputs, 1e-9, 1e-9),
@@ -869,18 +623,11 @@ mod tests {
         let g = streamlin_graph::elaborate(&p).unwrap();
         let analysis = analyze_graph(&g);
         let n = 500;
-        let baseline = profile(
-            &replace(&g, &analysis, &ReplaceOptions::per_filter()),
-            n,
-            MatMulStrategy::Unrolled,
-        )
-        .unwrap();
+        let baseline = profile(&replace(&g, &analysis, &ReplaceOptions::per_filter()), n);
         let linear = profile(
             &replace(&g, &analysis, &ReplaceOptions::maximal_linear()),
             n,
-            MatMulStrategy::Unrolled,
-        )
-        .unwrap();
+        );
         // 8 + 6 mults/output separately vs 13 combined.
         assert!(
             linear.mults_per_output() < baseline.mults_per_output(),
@@ -899,13 +646,8 @@ mod tests {
         let g = streamlin_graph::elaborate(&p).unwrap();
         let analysis = analyze_graph(&g);
         let n = 200;
-        let interp = profile(&OptStream::from_graph(&g), n, MatMulStrategy::Unrolled).unwrap();
-        let node_based = profile(
-            &replace(&g, &analysis, &ReplaceOptions::per_filter()),
-            n,
-            MatMulStrategy::Unrolled,
-        )
-        .unwrap();
+        let interp = profile(&OptStream::from_graph(&g), n);
+        let node_based = profile(&replace(&g, &analysis, &ReplaceOptions::per_filter()), n);
         let a = interp.mults_per_output();
         let b = node_based.mults_per_output();
         assert!(

@@ -31,9 +31,9 @@
 //!
 //! # Supervision
 //!
-//! [`run_pipeline_supervised`] layers fault tolerance on the same
+//! [`PipelineSession`] layers fault tolerance on the same
 //! protocol without touching the deterministic core. The executor is
-//! generic over a [`FaultPlan`] ([`NoFault`] in production — every
+//! generic over a [`FaultPlan`] ([`streamlin_support::NoFault`] in production — every
 //! injection site is guarded by `const ARMED` and monomorphizes away;
 //! [`streamlin_support::InjectFaults`] for seeded, reproducible worker
 //! panics, stage wedges, ring delays and pool refusals). When a wall-
@@ -47,8 +47,8 @@
 //! [`RunError::WorkerLost`]; a teardown that had to abandon workers
 //! mid-job retires the whole thread complement to the pool's self-
 //! healing path instead of re-parking threads in unknown states. Both
-//! error classes are [`RunError::is_degradable`]: the caller
-//! ([`crate::measure`]) replays them on the single-threaded static plan,
+//! error classes are [`RunError::is_degradable`]: the session layer
+//! ([`crate::session`]) replays them on the single-threaded static plan,
 //! which is *correct* because every execution family is pinned
 //! bit-identical.
 
@@ -58,9 +58,7 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use streamlin_support::{
-    FaultAction, FaultPlan, NoFault, NoProbe, OpCounter, Probe, StallKind, Tally,
-};
+use streamlin_support::{FaultAction, FaultPlan, OpCounter, Probe, StallKind, Tally};
 
 use crate::engine::RunError;
 use crate::flat::{FlatGraph, FlatNode, NodeKind};
@@ -574,71 +572,6 @@ fn diagnose_stall(
     d
 }
 
-/// Runs a partitioned plan on one pooled worker thread per stage until at
-/// least `outputs` values have been printed, quantized to whole multiples
-/// of [`CYCLE_QUANTUM`] original steady cycles.
-///
-/// `scale` is the number of original steady cycles one cycle of this
-/// graph spans: 1 for ordinary graphs, the fission pass's cycle expansion
-/// (a divisor of [`CYCLE_QUANTUM`]) for fissed graphs — the quantization
-/// is what keeps run lengths, tallies and firing counts identical across
-/// fission widths.
-///
-/// # Errors
-///
-/// Propagates evaluation/rate errors from work functions; reports a
-/// deadlock when [`MAX_SILENT_CYCLES`] consecutive cycles print nothing.
-///
-/// # Panics
-///
-/// Panics if `scale` does not divide [`CYCLE_QUANTUM`].
-pub fn run_pipeline<T: Tally + Default + Send>(
-    flat: FlatGraph,
-    plan: &ExecPlan,
-    part: &Partition,
-    outputs: usize,
-    scale: u64,
-) -> Result<PipelineOutcome, RunError> {
-    run_pipeline_supervised::<T, NoProbe, NoFault>(
-        flat,
-        plan,
-        part,
-        outputs,
-        scale,
-        &mut NoProbe,
-        NoFault,
-        None,
-    )
-}
-
-/// [`run_pipeline`] with a telemetry [`Probe`]: each stage worker records
-/// into a [`Probe::fork`]ed probe on its own lane (stage *k* → lane
-/// *k* + 1; lane 0 is the coordinator), absorbed back when the run
-/// finishes. Recorded per stage: firing-batch spans and busy time,
-/// empty-input and full-output stall time, between-round idle; per
-/// boundary ring: occupancy samples with high-water marks and full/empty
-/// stall counts; on the coordinator: quantum-wait spans and a pool
-/// acquisition note. Monomorphized over [`NoProbe`] this is exactly the
-/// uninstrumented executor.
-///
-/// # Errors
-///
-/// As [`run_pipeline`].
-///
-/// # Panics
-///
-/// As [`run_pipeline`].
-pub fn run_pipeline_probed<T: Tally + Default + Send, P: Probe + Send + 'static>(
-    flat: FlatGraph,
-    plan: &ExecPlan,
-    part: &Partition,
-    outputs: usize,
-    scale: u64,
-    probe: &mut P,
-) -> Result<PipelineOutcome, RunError> {
-    run_pipeline_supervised::<T, P, NoFault>(flat, plan, part, outputs, scale, probe, NoFault, None)
-}
-
 /// Per-stage payload prepared during setup, handed to the stage's worker.
 struct StageSeed {
     nodes: Vec<FlatNode>,
@@ -649,63 +582,33 @@ struct StageSeed {
     steady_steps: Vec<LocalStep>,
 }
 
-/// [`run_pipeline_probed`] under a supervisor: generic over a
-/// [`FaultPlan`] (injection sites compile away under [`NoFault`]) and,
+/// Runs a partitioned plan on one pooled worker thread per stage until at
+/// least `outputs` values have been printed — the one-shot degenerate
+/// case of a [`PipelineSession`]: start, run to `outputs`, finish. Runs
+/// are quantized to whole multiples of `quantum` original steady cycles
+/// (see [`resolve_quantum`]).
+///
+/// `scale` is the number of original steady cycles one cycle of this
+/// graph spans: 1 for ordinary graphs, the fission pass's cycle expansion
+/// (a divisor of the quantum) for fissed graphs — the quantization is
+/// what keeps run lengths, tallies and firing counts identical across
+/// fission widths.
+///
+/// Each stage worker records into a [`Probe::fork`]ed probe on its own
+/// lane (stage *k* → lane *k* + 1; lane 0 is the coordinator), absorbed
+/// back when the run finishes. The executor is generic over a
+/// [`FaultPlan`] (injection sites compile away under
+/// [`streamlin_support::NoFault`]) and,
 /// when `watchdog` is set or the plan is armed, guarded by a wall-clock
-/// no-progress watchdog (armed plans get a default deadline so injection
-/// can never hang a run).
-///
-/// On a watchdog trip the run is torn down cleanly — poison flag, stall
-/// diagnosis from boundary-ring state, a grace window for stragglers —
-/// and reported as [`RunError::Stalled`]; a worker whose pool thread died
-/// (or a refused pool acquisition) is [`RunError::WorkerLost`]. Both are
-/// [`RunError::is_degradable`], which [`crate::measure`] uses to replay
-/// the run on the single-threaded static plan. Workers abandoned mid-job
-/// are retired from the pool rather than re-parked.
+/// no-progress watchdog; a trip is a clean teardown reported as
+/// [`RunError::Stalled`], a dead or refused worker is
+/// [`RunError::WorkerLost`].
 ///
 /// # Errors
 ///
-/// As [`run_pipeline`], plus `Stalled`/`WorkerLost` as above.
-///
-/// # Panics
-///
-/// As [`run_pipeline`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_pipeline_supervised<
-    T: Tally + Default + Send,
-    P: Probe + Send + 'static,
-    F: FaultPlan,
->(
-    flat: FlatGraph,
-    plan: &ExecPlan,
-    part: &Partition,
-    outputs: usize,
-    scale: u64,
-    probe: &mut P,
-    fault: F,
-    watchdog: Option<Duration>,
-) -> Result<PipelineOutcome, RunError> {
-    run_pipeline_quantized::<T, P, F>(
-        flat,
-        plan,
-        part,
-        outputs,
-        scale,
-        resolve_quantum(0),
-        probe,
-        fault,
-        watchdog,
-    )
-}
-
-/// [`run_pipeline_supervised`] with an explicit cycle quantum (in
-/// original steady cycles) instead of the env/default resolution —
-/// one-shot wrapper over a [`PipelineSession`]: start, run to `outputs`,
-/// finish.
-///
-/// # Errors
-///
-/// As [`run_pipeline_supervised`].
+/// Evaluation/rate errors from work functions; a deadlock when
+/// `MAX_SILENT_CYCLES` consecutive cycles print nothing;
+/// `Stalled`/`WorkerLost` as above.
 ///
 /// # Panics
 ///
@@ -737,7 +640,7 @@ pub fn run_pipeline_quantized<
 /// state, cycle position) persists, and the caller pulls ordered output
 /// incrementally. This is the persistence backbone of the `streamlind`
 /// service — a per-stream session lives across many protocol round
-/// trips, and [`run_pipeline_quantized`] is the one-shot degenerate case
+/// trips, and a one-shot [`crate::measure::run`] is the degenerate case
 /// (start → one read → finish), so every equivalence suite that pins the
 /// one-shot executor pins the resident one too.
 ///
@@ -771,9 +674,9 @@ pub struct PipelineSession<P: Probe> {
     target: u64,
     /// Target when output last grew (silent-cycle accounting).
     progress_at: u64,
-    /// All values printed so far, in schedule order.
+    /// Printed values not yet handed out, in schedule order.
     values: Vec<f64>,
-    /// How many of `values` have been handed out through [`Self::read`].
+    /// Values handed out through [`Self::read`] so far.
     delivered: usize,
     tripped: bool,
     failed: Option<RunError>,
@@ -1085,7 +988,7 @@ impl<P: Probe> PipelineSession<P> {
 
     /// Total values printed so far (delivered or not).
     pub fn available(&self) -> usize {
-        self.values.len()
+        self.delivered + self.values.len()
     }
 
     /// Values handed out through [`Self::read`] so far.
@@ -1100,14 +1003,15 @@ impl<P: Probe> PipelineSession<P> {
     ///
     /// # Errors
     ///
-    /// As [`run_pipeline_supervised`]; once a session has failed, every
+    /// As [`run_pipeline_quantized`]; once a session has failed, every
     /// subsequent read reports the same error.
-    pub fn read(&mut self, n: usize) -> Result<&[f64], RunError> {
-        let end = self.delivered + n;
-        self.run_until(end)?;
-        let start = self.delivered;
-        self.delivered = end;
-        Ok(&self.values[start..end])
+    pub fn read(&mut self, n: usize) -> Result<Vec<f64>, RunError> {
+        self.run_until(self.delivered + n)?;
+        self.delivered += n;
+        // Hand the buffer's head over and keep only the (sub-quantum)
+        // overshoot, so a session holds no copy of delivered values.
+        let rest = self.values.split_off(n);
+        Ok(std::mem::replace(&mut self.values, rest))
     }
 
     /// The pacing protocol: extends the cumulative cycle target until at
@@ -1122,9 +1026,9 @@ impl<P: Probe> PipelineSession<P> {
     ///
     /// As [`Self::read`].
     pub fn run_until(&mut self, goal: usize) -> Result<(), RunError> {
-        while self.values.len() < goal && self.failed.is_none() {
-            let remaining = (goal - self.values.len()) as u64;
-            let printed = self.values.len() as u64;
+        while self.available() < goal && self.failed.is_none() {
+            let remaining = (goal - self.available()) as u64;
+            let printed = self.available() as u64;
             let add = if printed > 0 {
                 // Observed rate so far, rounded pessimistically upward.
                 (remaining * self.target).div_ceil(printed)
@@ -1152,7 +1056,7 @@ impl<P: Probe> PipelineSession<P> {
                     );
                 }
             }
-            let before = self.values.len();
+            let before = self.available();
             let wait_t0 = self.coord.now();
             if self.supervised {
                 self.collect_round_supervised();
@@ -1162,7 +1066,7 @@ impl<P: Probe> PipelineSession<P> {
             if P::ENABLED {
                 self.coord.stall(0, StallKind::Quantum, wait_t0);
             }
-            if self.values.len() > before {
+            if self.available() > before {
                 self.progress_at = self.target;
             } else if self.target - self.progress_at >= MAX_SILENT_CYCLES / self.scale
                 && self.failed.is_none()
@@ -1386,7 +1290,8 @@ impl<P: Probe> PipelineSession<P> {
     }
 
     /// Finishes the run: tears the workers down, absorbs the coordinator
-    /// and worker probes into `probe`, and merges the outcome.
+    /// and worker probes into `probe`, and merges the outcome (whose
+    /// `printed` holds the values not yet read).
     ///
     /// # Errors
     ///
@@ -1437,7 +1342,7 @@ mod tests {
     use crate::plan::{compile, PlanEngine};
     use streamlin_core::cost::CostModel;
     use streamlin_core::opt::OptStream;
-    use streamlin_support::{InjectFaults, NoCount};
+    use streamlin_support::{InjectFaults, NoCount, NoFault, NoProbe};
 
     fn planned(src: &str) -> (FlatGraph, ExecPlan) {
         let p = streamlin_lang::parse(src).unwrap();
@@ -1447,10 +1352,30 @@ mod tests {
         (flat, plan)
     }
 
-    fn run_threads(src: &str, threads: usize, outputs: usize) -> PipelineOutcome {
+    fn run_with<T: Tally + Default + Send, F: FaultPlan>(
+        src: &str,
+        threads: usize,
+        outputs: usize,
+        fault: F,
+        watchdog: Option<Duration>,
+    ) -> Result<PipelineOutcome, RunError> {
         let (flat, plan) = planned(src);
         let part = partition(&flat, &plan, threads, &CostModel::default());
-        run_pipeline::<OpCounter>(flat, &plan, &part, outputs, 1).unwrap()
+        run_pipeline_quantized::<T, NoProbe, F>(
+            flat,
+            &plan,
+            &part,
+            outputs,
+            1,
+            CYCLE_QUANTUM,
+            &mut NoProbe,
+            fault,
+            watchdog,
+        )
+    }
+
+    fn run_threads(src: &str, threads: usize, outputs: usize) -> PipelineOutcome {
+        run_with::<OpCounter, _>(src, threads, outputs, NoFault, None).unwrap()
     }
 
     const CHAIN: &str = "void->void pipeline Main { add S(); add G(); add H(); add K(); }
@@ -1522,9 +1447,7 @@ mod tests {
 
     #[test]
     fn uncounted_mode_prints_identical_bits() {
-        let (flat, plan) = planned(CHAIN);
-        let part = partition(&flat, &plan, 2, &CostModel::default());
-        let fast = run_pipeline::<NoCount>(flat, &plan, &part, 50, 1).unwrap();
+        let fast = run_with::<NoCount, _>(CHAIN, 2, 50, NoFault, None).unwrap();
         let counted = run_threads(CHAIN, 2, 50);
         assert_eq!(fast.printed.len(), counted.printed.len());
         for (a, b) in fast.printed.iter().zip(&counted.printed) {
@@ -1538,9 +1461,7 @@ mod tests {
         const BAD: &str = "void->void pipeline Main { add S(); add K(); }
              void->float filter S { float x; work push 2 { push(x); if (x > 0.5) push(x); x = x + 1; } }
              float->void filter K { work pop 1 { println(pop()); } }";
-        let (flat, plan) = planned(BAD);
-        let part = partition(&flat, &plan, 2, &CostModel::default());
-        let err = run_pipeline::<OpCounter>(flat, &plan, &part, 5, 1).unwrap_err();
+        let err = run_with::<OpCounter, _>(BAD, 2, 5, NoFault, None).unwrap_err();
         assert!(matches!(err, RunError::RateViolation(_)), "{err}");
     }
 
@@ -1561,20 +1482,8 @@ mod tests {
 
     #[test]
     fn injected_panic_is_a_structured_worker_loss() {
-        let (flat, plan) = planned(CHAIN);
-        let part = partition(&flat, &plan, 2, &CostModel::default());
         let fault = InjectFaults::parse("11:panic@s1").unwrap();
-        let err = run_pipeline_supervised::<OpCounter, NoProbe, _>(
-            flat,
-            &plan,
-            &part,
-            40,
-            1,
-            &mut NoProbe,
-            fault,
-            None,
-        )
-        .unwrap_err();
+        let err = run_with::<OpCounter, _>(CHAIN, 2, 40, fault, None).unwrap_err();
         assert!(matches!(err, RunError::WorkerLost { .. }), "{err}");
         assert!(err.to_string().contains("injected fault"), "{err}");
         assert!(err.is_degradable());
@@ -1582,21 +1491,10 @@ mod tests {
 
     #[test]
     fn watchdog_trips_on_a_wedged_stage() {
-        let (flat, plan) = planned(CHAIN);
-        let part = partition(&flat, &plan, 2, &CostModel::default());
         let fault = InjectFaults::parse("3:wedge@s0").unwrap();
         let t0 = Instant::now();
-        let err = run_pipeline_supervised::<OpCounter, NoProbe, _>(
-            flat,
-            &plan,
-            &part,
-            40,
-            1,
-            &mut NoProbe,
-            fault,
-            Some(Duration::from_millis(250)),
-        )
-        .unwrap_err();
+        let watchdog = Some(Duration::from_millis(250));
+        let err = run_with::<OpCounter, _>(CHAIN, 2, 40, fault, watchdog).unwrap_err();
         assert!(matches!(err, RunError::Stalled { .. }), "{err}");
         assert!(err.to_string().contains("watchdog"), "{err}");
         // Trip + teardown must be prompt: deadline, grace, slack — not a
@@ -1607,20 +1505,8 @@ mod tests {
     #[test]
     fn output_preserving_faults_keep_bits_identical() {
         let clean = run_threads(CHAIN, 2, 40);
-        let (flat, plan) = planned(CHAIN);
-        let part = partition(&flat, &plan, 2, &CostModel::default());
         let fault = InjectFaults::parse("5:slow@s0=40,delay=20").unwrap();
-        let out = run_pipeline_supervised::<OpCounter, NoProbe, _>(
-            flat,
-            &plan,
-            &part,
-            40,
-            1,
-            &mut NoProbe,
-            fault,
-            None,
-        )
-        .unwrap();
+        let out = run_with::<OpCounter, _>(CHAIN, 2, 40, fault, None).unwrap();
         assert_eq!(out.printed, clean.printed);
         assert_eq!(out.ops, clean.ops);
         assert_eq!(out.firings, clean.firings);

@@ -23,12 +23,12 @@
 //!
 //! Graphs the compiler cannot schedule — feedback loops (cyclic, never
 //! collapsed per §3.3/§7.1), zero-rate channels, or inconsistent rates —
-//! are reported as [`PlanError`]s; [`crate::measure::profile`] falls back
+//! are reported as [`PlanError`]s; [`crate::measure::compile`] falls back
 //! to the data-driven [`crate::engine::Engine`] for those.
 //!
 //! The firing *semantics* are shared with the dynamic engine (same
 //! slot-resolved work-function interpreter via
-//! [`crate::engine::run_work_phase`], same kernels, same operation
+//! `engine::run_work_phase`, same kernels, same operation
 //! counting), so a program's printed output is bit-identical under either
 //! scheduler; the equivalence suite in `tests/sched_equivalence.rs` pins
 //! that down for every benchmark.
@@ -744,7 +744,7 @@ impl<T: Tally> PlanEngine<T> {
     /// # Errors
     ///
     /// Propagates evaluation/rate errors from work functions, and reports
-    /// a deadlock if [`Self::MAX_SILENT_CYCLES`] consecutive steady cycles
+    /// a deadlock if `MAX_SILENT_CYCLES` consecutive steady cycles
     /// produce no output (the program can never reach `n`).
     pub fn run_until_outputs(&mut self, n: usize) -> Result<(), RunError> {
         self.run_probed(n, &mut NoProbe)

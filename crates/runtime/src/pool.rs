@@ -5,7 +5,7 @@
 //! long runs but dominates sub-millisecond ones (thread spawn is tens of
 //! microseconds — several steady cycles of a small graph). This module
 //! keeps the threads: a [`PipelinePool`] owns parked workers that serve
-//! one boxed job at a time, and [`crate::parallel::run_pipeline`] draws
+//! one boxed job at a time, and [`crate::parallel::PipelineSession`] draws
 //! its stage workers from a process-wide pool, returning them when the
 //! run finishes.
 //!
@@ -24,7 +24,7 @@
 //!   workers via a liveness token and replace them with fresh spawns,
 //!   so one poisoned worker no longer degrades the pool for the process
 //!   lifetime;
-//! * the supervisor can [`retire_global`] a run's whole complement when
+//! * the supervisor can `retire_global` a run's whole complement when
 //!   a teardown abandoned workers mid-job (watchdog trip with a thread
 //!   that never reported), guaranteeing the next run starts from known-
 //!   good threads.
@@ -176,7 +176,7 @@ fn spawn_worker() -> PoolThread {
     PoolThread { tx, alive }
 }
 
-/// The process-wide pool [`crate::parallel::run_pipeline`] draws from.
+/// The process-wide pool [`crate::parallel::PipelineSession`] draws from.
 fn global() -> &'static Mutex<PipelinePool> {
     static POOL: OnceLock<Mutex<PipelinePool>> = OnceLock::new();
     POOL.get_or_init(|| Mutex::new(PipelinePool::new()))
@@ -220,7 +220,7 @@ pub(crate) fn retire_global(threads: Vec<PoolThread>) {
 }
 
 /// Threads ever spawned by the process-wide pool. Repeated
-/// [`crate::measure::profile_threads`] runs reuse them, so this is stable
+/// pipeline runs ([`crate::RunSpec::threads`]) reuse them, so this is stable
 /// across back-to-back runs of the same shape.
 pub fn global_spawned() -> usize {
     global().lock().expect("pipeline pool poisoned").spawned()

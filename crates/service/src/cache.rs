@@ -7,12 +7,13 @@
 //! content hash (FNV-1a 64 over the source text) crossed with every knob
 //! that changes the compiled artifact (config, scheduler, matmul
 //! strategy, thread budget, fission request, cycle quantum), and stores
-//! the fully elaborated artifact — the lowered [`FlatGraph`] (with each
+//! the fully elaborated [`Artifact`] — the lowered flat graph (with each
 //! filter's `FilterFacts` intact, per the facts-not-AST convention), the
-//! compiled [`ExecPlan`], the fission rewrite, and the [`Partition`] —
-//! behind an [`Arc`]. Opening a stream for a cached key clones graph and
-//! plan out of the artifact (cheap relative to compilation) and fires up
-//! an engine; the front end never runs again.
+//! compiled plan, the fission rewrite, and the partition — behind an
+//! [`Arc`]. The interpreter tier is not a key: each stream applies its
+//! own tier to its own copy of the graph. Opening a stream for a cached
+//! key clones graph and plan out of the artifact (cheap relative to
+//! compilation) and fires up an engine; the front end never runs again.
 //!
 //! Hits and misses are counted; the `stats` protocol op exposes them, and
 //! `tests/service_equivalence.rs` pins that a re-opened program is a hit
@@ -23,15 +24,11 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use streamlin_core::combine::{analyze_graph, replace, ReplaceOptions, ReplaceTarget};
-use streamlin_core::cost::CostModel;
-use streamlin_core::select::{select, SelectOptions};
+use streamlin_core::{analyze_graph, optimize};
 use streamlin_runtime::fission::Fission;
-use streamlin_runtime::flat::{flatten, FlatGraph};
 use streamlin_runtime::measure::Scheduler;
-use streamlin_runtime::plan::{self, ExecPlan};
-use streamlin_runtime::{MatMulStrategy, Partition};
-use streamlin_support::NoFault;
+use streamlin_runtime::{compile, Artifact, MatMulStrategy, RunSpec};
+use streamlin_support::NoProbe;
 
 /// FNV-1a 64-bit content hash — the program identity in cache keys. Not
 /// cryptographic; collision risk is irrelevant at plan-cache scale and
@@ -73,40 +70,10 @@ pub struct PlanKey {
     pub quantum: u64,
 }
 
-/// A fully compiled program, ready to instantiate engines from.
-#[derive(Debug)]
-pub struct CachedArtifact {
-    /// The graph to execute: post-fission when the pass engaged.
-    pub flat: FlatGraph,
-    /// The compiled static schedule; `None` = data-driven execution
-    /// (feedback loops under `auto`, or `--sched dynamic`).
-    pub plan: Option<ExecPlan>,
-    /// The pipeline partition, present when a thread budget was given
-    /// and a plan exists.
-    pub part: Option<Partition>,
-    /// The canonical *pre-fission* graph and plan: the single-threaded
-    /// replay source for per-stream graceful degradation (PR 7
-    /// contract), retained whenever a pipeline artifact exists.
-    pub canonical: Option<(FlatGraph, ExecPlan)>,
-    /// Original steady cycles one post-fission cycle spans.
-    pub scale: u64,
-    /// Fission width that was actually applied (1 = unfissed).
-    pub width: usize,
-    /// Resolved cycle quantum baked into this artifact.
-    pub quantum: u64,
-    /// Wall-clock cost of the full front end (parse through partition),
-    /// in milliseconds — the price a cache hit avoids.
-    pub compile_ms: f64,
-}
-
-impl CachedArtifact {
-    /// Worker threads a pipeline stream of this artifact occupies (the
-    /// partition's actual stage count, which may be below the requested
-    /// budget); 1 for single-threaded execution.
-    pub fn workers_needed(&self) -> usize {
-        self.part.as_ref().map_or(1, |p| p.num_stages)
-    }
-}
+/// A fully compiled program, ready to open streams on (the runtime's
+/// [`Artifact`]; its `compile_ms` covers the whole front end, parse
+/// through partition — the price a cache hit avoids).
+pub type CachedArtifact = Artifact;
 
 /// Cache statistics, exposed by the `stats` protocol op.
 #[derive(Debug, Clone, Copy, Default)]
@@ -166,106 +133,33 @@ impl PlanCache {
             g.hits += 1;
             return Ok((a, true));
         }
-        let artifact = Arc::new(compile_artifact(
-            src,
-            &key.config,
-            key.sched,
-            key.matmul,
-            key.threads,
+        let spec = RunSpec {
+            sched: key.sched,
+            matmul: Some(key.matmul),
+            threads: key.threads,
             fission,
-            key.quantum,
-        )?);
+            quantum: key.quantum,
+            fallback: true,
+            ..RunSpec::new(0)
+        };
+        let artifact = Arc::new(compile_source(src, &key.config, &spec)?);
         g.misses += 1;
         g.map.insert(key.clone(), Arc::clone(&artifact));
         Ok((artifact, false))
     }
 }
 
-/// The full front end, mirroring `streamlinc`'s one-shot path so cached
-/// execution is bit-identical to the CLI: parse → elaborate → analyze →
-/// replace/select → flatten → plan → fission → partition.
-fn compile_artifact(
-    src: &str,
-    config: &str,
-    sched: Scheduler,
-    matmul: MatMulStrategy,
-    threads: Option<usize>,
-    fission: Fission,
-    quantum: u64,
-) -> Result<CachedArtifact, String> {
+/// The full front end — parse → elaborate → analyze → optimize — then
+/// the runtime's one compile path, the same one `streamlinc` takes, so
+/// cached execution is bit-identical to the CLI.
+fn compile_source(src: &str, config: &str, spec: &RunSpec) -> Result<Artifact, String> {
     let t0 = Instant::now();
     let program = streamlin_lang::parse(src).map_err(|e| e.to_string())?;
     let graph = streamlin_graph::elaborate(&program).map_err(|e| e.to_string())?;
-    let analysis = analyze_graph(&graph);
-    let opt = match config {
-        "baseline" => replace(&graph, &analysis, &ReplaceOptions::per_filter()),
-        "linear" => replace(&graph, &analysis, &ReplaceOptions::maximal_linear()),
-        "freq" => replace(&graph, &analysis, &ReplaceOptions::maximal_freq()),
-        "redund" => replace(
-            &graph,
-            &analysis,
-            &ReplaceOptions {
-                combine: true,
-                target: ReplaceTarget::Redund,
-            },
-        ),
-        "autosel" => {
-            select(
-                &graph,
-                &analysis,
-                &CostModel::default(),
-                &SelectOptions::default(),
-            )
-            .map_err(|e| e.to_string())?
-            .opt
-        }
-        other => return Err(format!("unknown config `{other}`")),
-    };
-    let flat = flatten(&opt, matmul).map_err(|e| e.to_string())?;
-    let compiled = match sched {
-        Scheduler::Dynamic => None,
-        Scheduler::Static => Some(plan::compile(&flat).map_err(|e| e.to_string())?),
-        Scheduler::Auto if opt.has_feedback() => None,
-        Scheduler::Auto => plan::compile(&flat).ok(),
-    };
-    // Canonical single-threaded pair, kept for per-stream degradation
-    // whenever this artifact will run on the pipeline executor.
-    let canonical = match (&compiled, threads) {
-        (Some(p), Some(_)) => Some((flat.clone(), p.clone())),
-        _ => None,
-    };
-    // Fission (pipeline artifacts only — the single-threaded engines run
-    // the canonical graph): refusals fall back to the unfissed pair,
-    // exactly like the one-shot profiler.
-    let model = CostModel::default();
-    let (flat, compiled, scale, width) = match (compiled, threads) {
-        (Some(p), Some(t)) if fission != Fission::Off => {
-            match streamlin_runtime::fiss_bottleneck(
-                &flat, &p, fission, t, &model, &NoFault, quantum,
-            ) {
-                Ok((fissed, info)) => match plan::compile(&fissed) {
-                    Ok(p2) => (fissed, Some(p2), info.scale, info.width),
-                    Err(_) => (flat, Some(p), 1, 1),
-                },
-                Err(_) => (flat, Some(p), 1, 1),
-            }
-        }
-        (c, _) => (flat, c, 1, 1),
-    };
-    let part = match (&compiled, threads) {
-        (Some(p), Some(t)) => Some(streamlin_runtime::partition(&flat, p, t, &model)),
-        _ => None,
-    };
-    Ok(CachedArtifact {
-        flat,
-        plan: compiled,
-        part,
-        canonical,
-        scale,
-        width,
-        quantum,
-        compile_ms: t0.elapsed().as_secs_f64() * 1e3,
-    })
+    let opt = optimize(&graph, &analyze_graph(&graph), config)?;
+    let mut art = compile(&opt, spec, &mut NoProbe, None).map_err(|e| e.to_string())?;
+    art.compile_ms = t0.elapsed().as_secs_f64() * 1e3;
+    Ok(art)
 }
 
 #[cfg(test)]

@@ -42,14 +42,27 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use streamlin_runtime::{pool, resolve_quantum_checked};
+use streamlin_runtime::{
+    open_session, pool, resolve_quantum_checked, Instruments, RunSpec, StreamExec, Tier,
+};
 use streamlin_support::json::Json;
-use streamlin_support::InjectFaults;
+use streamlin_support::{InjectFaults, Recorder};
 
 use admission::Ledger;
 use cache::{fnv1a64, PlanCache, PlanKey};
 use proto::{err_response, ok_response, OpenReq, Request};
-use session::{build_exec, StreamExec};
+
+/// The interpreter tier the process environment selects: the
+/// tree-walking reference when `STREAMLIN_NO_BYTECODE` is set, else the
+/// default. This is the one reader of that variable: `streamlinc`,
+/// `streamlind` and the ablation test suites call it at their boundary
+/// and carry the result in a [`RunSpec`].
+pub fn env_tier() -> Tier {
+    Tier {
+        bytecode: std::env::var_os("STREAMLIN_NO_BYTECODE").is_none(),
+        ..Tier::default()
+    }
+}
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -77,6 +90,9 @@ pub struct ServiceOpts {
     /// (matching one-shot `streamlinc`); daemons that must never wedge a
     /// stream on a ring stall should set it (`--watchdog <ms>`).
     pub watchdog_ms: Option<u64>,
+    /// Interpreter tier every stream runs on (`streamlind` takes it from
+    /// [`env_tier`]).
+    pub tier: Tier,
 }
 
 impl Default for ServiceOpts {
@@ -89,6 +105,7 @@ impl Default for ServiceOpts {
             trace_dir: None,
             quantum: 0,
             watchdog_ms: None,
+            tier: Tier::default(),
         }
     }
 }
@@ -209,14 +226,28 @@ impl Service {
             Ok(q) => q,
             Err(why) => return err_response("bad_request", &why, vec![]),
         };
-        let matmul = req.matmul.unwrap_or_else(|| req.mode.default_strategy());
+        let spec = RunSpec {
+            sched: req.sched,
+            mode: req.mode,
+            matmul: req.matmul,
+            threads: req.threads,
+            fission: req.fission,
+            quantum,
+            watchdog: req
+                .watchdog_ms
+                .or(self.opts.watchdog_ms)
+                .map(Duration::from_millis),
+            fallback: true,
+            tier: self.opts.tier,
+            ..RunSpec::new(0)
+        };
         let key = PlanKey {
             src_hash: fnv1a64(req.program.as_bytes()),
             config: req.config.clone(),
-            sched: req.sched,
-            matmul,
-            threads: req.threads,
-            fission: format!("{:?}", req.fission),
+            sched: spec.sched,
+            matmul: spec.strategy(),
+            threads: spec.pipeline_threads(),
+            fission: format!("{:?}", spec.fission),
             quantum,
         };
         let (artifact, cached) = match self.cache.get_or_compile(&key, &req.program, req.fission) {
@@ -252,11 +283,11 @@ impl Service {
             };
             return err_response(code, &e.to_string(), pairs);
         }
-        let watchdog = req
-            .watchdog_ms
-            .or(self.opts.watchdog_ms)
-            .map(Duration::from_millis);
-        let exec = match build_exec(&artifact, req.mode, self.opts.instrument, fault, watchdog) {
+        let instruments = Instruments {
+            rec: self.opts.instrument.then(Recorder::new),
+            fault,
+        };
+        let exec = match open_session(&artifact, &spec, instruments) {
             Ok(exec) => exec,
             Err(e) => {
                 self.ledger.release(need);
@@ -424,20 +455,20 @@ impl Service {
         let mut pairs = vec![
             ("id".to_string(), Json::Str(id.into())),
             ("delivered".to_string(), Json::Num(report.delivered as f64)),
-            ("flops".to_string(), Json::Num(report.flops as f64)),
-            ("mults".to_string(), Json::Num(report.mults as f64)),
+            ("flops".to_string(), Json::Num(report.ops.flops() as f64)),
+            ("mults".to_string(), Json::Num(report.ops.mults() as f64)),
             ("firings".to_string(), Json::Num(report.firings as f64)),
         ];
         if let Some(d) = &report.degraded {
             pairs.push(("degraded".to_string(), Json::Str(d.clone())));
         }
-        if let Some((summary, trace)) = &report.probe {
+        if let Some(rec) = &report.probe {
             if self.opts.metrics {
-                eprintln!("--- stream {id} ---\n{summary}");
+                eprintln!("--- stream {id} ---\n{}", rec.summary());
             }
             if let Some(dir) = &self.opts.trace_dir {
                 let path = format!("{dir}/{id}.trace.json");
-                match std::fs::write(&path, trace) {
+                match std::fs::write(&path, rec.chrome_trace()) {
                     Ok(()) => pairs.push(("trace".to_string(), Json::Str(path))),
                     Err(e) => eprintln!("streamlind: cannot write {path}: {e}"),
                 }

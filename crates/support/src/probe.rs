@@ -4,7 +4,7 @@
 //! Chapter 5 is an *observed* count, not an estimate. The workspace
 //! reproduces arithmetic counting with `Tally`; this module applies the
 //! same zero-cost pattern to **time**: the compile pipeline and both
-//! runtime engines are generic over a [`Probe`], and the profiler
+//! runtime engines are generic over a [`Probe`], and the run API
 //! monomorphizes them twice —
 //!
 //! * [`NoProbe`] is a zero-sized type whose methods are `#[inline(always)]`
@@ -282,7 +282,7 @@ const EVENT_CAP: usize = 1 << 18;
 pub struct Recorder {
     epoch: Instant,
     lane: u32,
-    /// Raw timeline (bounded by [`EVENT_CAP`]; see [`Recorder::dropped`]).
+    /// Raw timeline (bounded by `EVENT_CAP`; see [`Recorder::dropped`]).
     pub events: Vec<Event>,
     /// Events discarded after the cap was reached.
     pub dropped: u64,

@@ -16,15 +16,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let analysis = analyze_graph(graph);
 
     let n = 128;
-    let base = profile(
+    let base = run(
         &replace(graph, &analysis, &ReplaceOptions::per_filter()),
-        n,
-        MatMulStrategy::Unrolled,
+        &RunSpec::new(n),
+        None,
+        None,
     )?;
-    let maximal = profile(
+    let maximal = run(
         &replace(graph, &analysis, &ReplaceOptions::maximal_linear()),
-        n,
-        MatMulStrategy::Unrolled,
+        &RunSpec::new(n),
+        None,
+        None,
     )?;
     let sel = select(
         graph,
@@ -32,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &CostModel::default(),
         &SelectOptions::default(),
     )?;
-    let auto = profile(&sel.opt, n, MatMulStrategy::Unrolled)?;
+    let auto = run(&sel.opt, &RunSpec::new(n), None, None)?;
 
     println!("Radar(12 channels, 4 beams), multiplications per output:");
     println!("  baseline          : {:>10.1}", base.mults_per_output());

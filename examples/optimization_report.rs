@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut baseline_mults = None;
     for (name, opt) in configs {
         let stats = opt.stats();
-        let prof = profile(&opt, n, MatMulStrategy::Unrolled)?;
+        let prof = run(&opt, &RunSpec::new(n), None, None)?;
         let base = *baseline_mults.get_or_insert(prof.mults_per_output());
         println!(
             "{name:>9}: {:>2} nodes ({} linear, {} freq) | {:>8.1} mults/out ({:>6.1}% removed) | {:>7.1} us/out",

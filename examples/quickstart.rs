@@ -44,8 +44,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("optimized structure:  {}", optimized.describe());
 
     let n = 1000;
-    let base = profile(&baseline, n, MatMulStrategy::Unrolled)?;
-    let opt = profile(&optimized, n, MatMulStrategy::Unrolled)?;
+    let base = run(&baseline, &RunSpec::new(n), None, None)?;
+    let opt = run(&optimized, &RunSpec::new(n), None, None)?;
 
     assert_eq!(base.outputs.len(), opt.outputs.len());
     for (a, b) in base.outputs.iter().zip(&opt.outputs) {

@@ -25,28 +25,22 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use streamlin::runtime::measure::{profile_supervised, Supervision};
-use streamlin::support::{InjectFaults, Probe, Recorder};
-
-use streamlin::core::combine::{analyze_graph, replace, ReplaceOptions, ReplaceTarget};
-use streamlin::core::cost::CostModel;
-use streamlin::core::select::{select, SelectOptions};
+use streamlin::core::combine::analyze_graph;
+use streamlin::core::optimize;
 use streamlin::prelude::*;
+use streamlin::runtime::fission::Fission;
+use streamlin::runtime::{run as run_spec, RunSpec};
+use streamlin::support::{InjectFaults, Probe, Recorder};
 
 struct Args {
     path: String,
     config: String,
-    sched: Scheduler,
-    mode: ExecMode,
-    matmul: Option<MatMulStrategy>,
-    /// `Some(n)`: run the pipeline-parallel executor over at most `n`
-    /// stages (`--sched static` without `--threads` stays the classic
-    /// single-threaded plan engine).
-    threads: Option<usize>,
-    /// Data-parallel fission of the dominant node: `auto` asks the cost
-    /// model, a number forces a width, `off` (default) disables it.
-    fission: streamlin::runtime::fission::Fission,
-    outputs: usize,
+    /// Every execution knob: scheduler, mode, matmul (`None`: the mode's
+    /// default), threads, fission (a lone `--fission` runs a one-stage
+    /// pipeline), quantum, watchdog, tier and output count. Fallback is
+    /// always on: infrastructure failures degrade to the single-threaded
+    /// static plan instead of failing the run.
+    spec: RunSpec,
     emit_graph: bool,
     /// Print the telemetry summary (where time went: phases, stages,
     /// rings, nodes) after the run.
@@ -59,13 +53,6 @@ struct Args {
     /// the fault module's spec grammar (`panic@s1`, `wedge`, `die`,
     /// `slow=50`, `delay@c2=100`, `refuse#1`, `nofission`).
     fault: Option<InjectFaults>,
-    /// Wall-clock no-progress deadline for the pipeline watchdog, in
-    /// milliseconds (`--watchdog-ms N`).
-    watchdog_ms: Option<u64>,
-    /// Cycle quantum of the pipeline pacing protocol (`--quantum N`,
-    /// original steady cycles). `0`: env `STREAMLIN_CYCLE_QUANTUM`, else
-    /// the built-in default of 4.
-    quantum: u64,
     /// `--lint`: print every advisory diagnostic the static analysis
     /// produced (spanned, one line each) and skip execution.
     lint: bool,
@@ -80,13 +67,6 @@ impl Args {
     /// sourced from the recorder's notes).
     fn instrumented(&self) -> bool {
         self.metrics || self.trace_out.is_some() || self.emit_graph
-    }
-
-    /// The matrix-multiply strategy to execute with: an explicit
-    /// `--matmul` wins; otherwise `fast` mode selects the vectorized
-    /// dense kernel and `measured` mode the paper's unrolled one.
-    fn strategy(&self) -> MatMulStrategy {
-        self.matmul.unwrap_or_else(|| self.mode.default_strategy())
     }
 }
 
@@ -107,28 +87,26 @@ fn parse_args() -> Args {
     let mut args = Args {
         path: String::new(),
         config: "autosel".into(),
-        sched: Scheduler::Auto,
-        mode: ExecMode::Measured,
-        matmul: None,
-        threads: None,
-        fission: streamlin::runtime::fission::Fission::Off,
-        outputs: 1000,
+        spec: RunSpec {
+            fallback: true,
+            tier: streamlin::service::env_tier(),
+            ..RunSpec::new(1000)
+        },
         emit_graph: false,
         metrics: false,
         trace_out: None,
         quiet: false,
         fault: None,
-        watchdog_ms: None,
-        quantum: 0,
         lint: false,
         deny_lints: false,
     };
+    let mut quantum = 0;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--config" => args.config = it.next().unwrap_or_else(|| usage()),
             "--sched" => {
-                args.sched = match it.next().as_deref() {
+                args.spec.sched = match it.next().as_deref() {
                     Some("auto") => Scheduler::Auto,
                     Some("static") => Scheduler::Static,
                     Some("dynamic") => Scheduler::Dynamic,
@@ -136,14 +114,14 @@ fn parse_args() -> Args {
                 }
             }
             "--mode" => {
-                args.mode = match it.next().as_deref() {
+                args.spec.mode = match it.next().as_deref() {
                     Some("measured") => ExecMode::Measured,
                     Some("fast") => ExecMode::Fast,
                     _ => usage(),
                 }
             }
             "--matmul" => {
-                args.matmul = Some(match it.next().as_deref() {
+                args.spec.matmul = Some(match it.next().as_deref() {
                     Some("unrolled") => MatMulStrategy::Unrolled,
                     Some("diagonal") => MatMulStrategy::Diagonal,
                     Some("blocked") => MatMulStrategy::Blocked,
@@ -152,7 +130,7 @@ fn parse_args() -> Args {
                 })
             }
             "--threads" => {
-                args.threads = Some(
+                args.spec.threads = Some(
                     it.next()
                         .and_then(|v| v.parse().ok())
                         .filter(|&t| t >= 1)
@@ -160,8 +138,7 @@ fn parse_args() -> Args {
                 )
             }
             "--fission" => {
-                use streamlin::runtime::fission::Fission;
-                args.fission = match it.next().as_deref() {
+                args.spec.fission = match it.next().as_deref() {
                     Some("auto") => Fission::Auto,
                     Some("off") => Fission::Off,
                     Some(v) => match v.parse() {
@@ -172,7 +149,7 @@ fn parse_args() -> Args {
                 }
             }
             "-n" | "--outputs" => {
-                args.outputs = it
+                args.spec.outputs = it
                     .next()
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage())
@@ -185,21 +162,21 @@ fn parse_args() -> Args {
                 }));
             }
             "--watchdog-ms" => {
-                args.watchdog_ms = Some(
+                args.spec.watchdog = Some(Duration::from_millis(
                     it.next()
                         .and_then(|v| v.parse().ok())
                         .filter(|&ms| ms >= 1)
                         .unwrap_or_else(|| usage()),
-                )
+                ))
             }
             "--quantum" => {
-                args.quantum = it
+                quantum = it
                     .next()
                     .and_then(|v| v.parse().ok())
                     .filter(|&q| q >= 1)
                     .unwrap_or_else(|| usage())
             }
-            "--no-bytecode" => streamlin::runtime::set_bytecode_tier(false),
+            "--no-bytecode" => args.spec.tier.bytecode = false,
             "--lint" => args.lint = true,
             "--deny-lints" => {
                 args.lint = true;
@@ -219,6 +196,7 @@ fn parse_args() -> Args {
     if args.path.is_empty() {
         usage();
     }
+    args.spec.quantum = streamlin::runtime::resolve_quantum(quantum);
     args
 }
 
@@ -294,30 +272,7 @@ fn run(args: &Args) -> Result<(), String> {
     }
 
     let t0 = rec.as_ref().map_or(0, |r| r.now());
-    let opt = match args.config.as_str() {
-        "baseline" => replace(&graph, &analysis, &ReplaceOptions::per_filter()),
-        "linear" => replace(&graph, &analysis, &ReplaceOptions::maximal_linear()),
-        "freq" => replace(&graph, &analysis, &ReplaceOptions::maximal_freq()),
-        "redund" => replace(
-            &graph,
-            &analysis,
-            &ReplaceOptions {
-                combine: true,
-                target: ReplaceTarget::Redund,
-            },
-        ),
-        "autosel" => {
-            select(
-                &graph,
-                &analysis,
-                &CostModel::default(),
-                &SelectOptions::default(),
-            )
-            .map_err(|e| e.to_string())?
-            .opt
-        }
-        other => return Err(format!("unknown config `{other}`")),
-    };
+    let opt = optimize(&graph, &analysis, &args.config)?;
     if let Some(r) = rec.as_mut() {
         r.phase("select", t0);
     }
@@ -326,36 +281,8 @@ fn run(args: &Args) -> Result<(), String> {
         eprintln!("structure: {}", opt.describe());
     }
 
-    // `--threads`/`--fission` select the pipeline executor (a lone
-    // `--fission` runs it with a 1-stage budget, matching the fission
-    // pass's threads argument); otherwise the classic engines run.
-    let pipeline_threads = match (args.threads, args.fission) {
-        (None, streamlin::runtime::fission::Fission::Off) => None,
-        (threads, _) => Some(threads.unwrap_or(1)),
-    };
-    // Every CLI run goes through the supervised profiler: with no
-    // `--fault-inject`/`--watchdog-ms` it monomorphizes to the exact
-    // unsupervised engines; with either, the supervisor watches the run
-    // and degrades to the single-threaded static plan on infrastructure
-    // failures instead of hanging or dying.
-    let sup = Supervision {
-        watchdog: args.watchdog_ms.map(Duration::from_millis),
-        fallback: true,
-        quantum: args.quantum,
-    };
-    let prof = profile_supervised(
-        &opt,
-        args.outputs,
-        args.strategy(),
-        args.sched,
-        args.mode,
-        pipeline_threads,
-        args.fission,
-        &sup,
-        args.fault.as_ref(),
-        rec.as_mut(),
-    )
-    .map_err(|e| e.to_string())?;
+    let prof =
+        run_spec(&opt, &args.spec, rec.as_mut(), args.fault.as_ref()).map_err(|e| e.to_string())?;
     if let Some(reason) = &prof.degraded {
         if !args.quiet {
             eprintln!("streamlinc: degraded to the single-threaded static plan ({reason})");
@@ -405,7 +332,7 @@ fn run(args: &Args) -> Result<(), String> {
         if prof.fission > 1 {
             sched_desc.push_str(&format!(", fission x{}", prof.fission));
         }
-        match args.mode {
+        match args.spec.mode {
             ExecMode::Measured => eprintln!(
                 "{} outputs in {:?} [{sched_desc}]: {:.1} flops/output, {:.1} mults/output",
                 prof.outputs.len(),
@@ -417,7 +344,7 @@ fn run(args: &Args) -> Result<(), String> {
                 "{} outputs in {:?} [{sched_desc}, fast/{}]: {:.0} outputs/sec (uncounted)",
                 prof.outputs.len(),
                 prof.wall,
-                args.strategy().label(),
+                args.spec.strategy().label(),
                 prof.outputs.len() as f64 / prof.wall.as_secs_f64().max(1e-9),
             ),
         }

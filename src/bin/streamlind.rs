@@ -47,7 +47,10 @@ fn usage() -> ! {
 fn parse_args() -> Args {
     let mut args = Args {
         listen: None,
-        opts: ServiceOpts::default(),
+        opts: ServiceOpts {
+            tier: streamlin::service::env_tier(),
+            ..ServiceOpts::default()
+        },
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {

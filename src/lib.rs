@@ -15,7 +15,7 @@
 //! | [`lang`] | `streamlin-lang` | lexer, parser, AST |
 //! | [`graph`] | `streamlin-graph` | elaboration, stream IR, steady-state rates |
 //! | [`core`] | `streamlin-core` | extraction, combination, frequency, redundancy, selection |
-//! | [`runtime`] | `streamlin-runtime` | flattening, execution engine, profiling |
+//! | [`runtime`] | `streamlin-runtime` | flattening, execution engines, the `RunSpec` run API |
 //! | [`service`] | `streamlin-service` | the `streamlind` daemon: plan cache, streams, admission |
 //! | [`benchmarks`] | `streamlin-benchmarks` | the nine paper benchmarks |
 //! | [`matrix`], [`fft`], [`support`] | substrates | linear algebra, FFT, op counting |
@@ -41,9 +41,11 @@
 //! let optimized = replace(&graph, &analysis, &ReplaceOptions::maximal_linear());
 //! assert_eq!(optimized.stats().linear, 1); // F and G fused: y = 2x + 1
 //!
-//! // 3. Execute both and compare.
-//! let base = profile(&OptStream::from_graph(&graph), 10, MatMulStrategy::Unrolled)?;
-//! let opt = profile(&optimized, 10, MatMulStrategy::Unrolled)?;
+//! // 3. Execute both and compare: one `RunSpec` says how (here: the
+//! //    defaults, 10 outputs).
+//! let spec = RunSpec::new(10);
+//! let base = run(&OptStream::from_graph(&graph), &spec, None, None)?;
+//! let opt = run(&optimized, &spec, None, None)?;
 //! assert_eq!(base.outputs, opt.outputs);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -69,9 +71,6 @@ pub mod prelude {
     pub use streamlin_graph::elaborate::{elaborate, elaborate_named};
     pub use streamlin_graph::ir::Stream;
     pub use streamlin_lang::parse;
-    pub use streamlin_runtime::measure::{
-        profile, profile_mode, profile_sched, ExecMode, Scheduler,
-    };
-    pub use streamlin_runtime::MatMulStrategy;
+    pub use streamlin_runtime::{run, ExecMode, MatMulStrategy, RunSpec, Scheduler, Tier};
     pub use streamlin_support::OpCounter;
 }

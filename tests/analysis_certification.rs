@@ -14,8 +14,8 @@ use streamlin::graph::{elaborate, StateEffect};
 use streamlin::lang::parse;
 use streamlin::runtime::fission::{fissability, Fission};
 use streamlin::runtime::flat::flatten;
-use streamlin::runtime::measure::{profile_fission, profile_mode, ExecMode, Scheduler};
-use streamlin::runtime::{set_cert_elision, MatMulStrategy};
+use streamlin::runtime::{run, ExecMode, RunSpec, Scheduler};
+use streamlin::runtime::{MatMulStrategy, Tier};
 
 /// Expected state-effect class per (benchmark, filter declaration).
 /// Everything not listed here must analyze as `Pure`.
@@ -96,14 +96,22 @@ fn cert_elision_is_bit_identical_across_modes_and_schedulers() {
         // back to the data-driven engine (DToA has a feedback loop).
         for sched in [Scheduler::Auto, Scheduler::Dynamic] {
             for mode in [ExecMode::Measured, ExecMode::Fast] {
-                let strategy = mode.default_strategy();
-                set_cert_elision(true);
-                let fast = profile_mode(&opt, n, strategy, sched, mode)
+                let spec = RunSpec {
+                    sched,
+                    mode,
+                    ..RunSpec::new(n)
+                };
+                let checked_spec = RunSpec {
+                    tier: Tier {
+                        cert_elision: false,
+                        ..Tier::default()
+                    },
+                    ..spec.clone()
+                };
+                let fast = run(&opt, &spec, None, None)
                     .unwrap_or_else(|e| panic!("{} {sched:?} {mode:?}: {e}", b.name()));
-                set_cert_elision(false);
-                let checked = profile_mode(&opt, n, strategy, sched, mode)
+                let checked = run(&opt, &checked_spec, None, None)
                     .unwrap_or_else(|e| panic!("{} {sched:?} {mode:?}: {e}", b.name()));
-                set_cert_elision(true);
                 assert_eq!(
                     fast.outputs.len(),
                     checked.outputs.len(),
@@ -144,12 +152,14 @@ fn uncertifiable_filter_runs_checked_and_correct() {
     );
 
     let opt = OptStream::from_graph(&g);
-    let prof = profile_mode(
+    let prof = run(
         &opt,
-        16,
-        MatMulStrategy::Unrolled,
-        Scheduler::Static,
-        ExecMode::Measured,
+        &RunSpec {
+            sched: Scheduler::Static,
+            ..RunSpec::new(16)
+        },
+        None,
+        None,
     )
     .unwrap();
     // Within this horizon `x < 10000.0` always holds, so the filter is
@@ -204,22 +214,26 @@ fn fission_admits_dead_branch_writers() {
         .expect("Heavy survives flattening");
     assert!(fissability(heavy).is_ok(), "{:?}", fissability(heavy));
 
-    let base = profile_mode(
+    let base = run(
         &opt,
-        32,
-        MatMulStrategy::Unrolled,
-        Scheduler::Static,
-        ExecMode::Measured,
+        &RunSpec {
+            sched: Scheduler::Static,
+            ..RunSpec::new(32)
+        },
+        None,
+        None,
     )
     .unwrap();
-    let fissed = profile_fission(
+    let fissed = run(
         &opt,
-        32,
-        MatMulStrategy::Unrolled,
-        Scheduler::Static,
-        ExecMode::Measured,
-        2,
-        Fission::Width(2),
+        &RunSpec {
+            sched: Scheduler::Static,
+            threads: Some(2),
+            fission: Fission::Width(2),
+            ..RunSpec::new(32)
+        },
+        None,
+        None,
     )
     .unwrap();
     assert_eq!(base.outputs.len(), fissed.outputs.len());

@@ -340,3 +340,40 @@ fn provable_rate_violation_is_a_spanned_compile_error() {
     );
     assert!(stderr.contains("at 2:"), "span missing: {stderr}");
 }
+
+/// The tree-walker tier is selectable per run at the CLI boundary, by
+/// `--no-bytecode` or by `STREAMLIN_NO_BYTECODE`: both print the
+/// tree-walker `tier` note under `--emit-graph` and the same output bits
+/// as the default bytecode tier.
+#[test]
+fn no_bytecode_flag_and_env_select_the_tree_walker() {
+    let run = |flag: Option<&str>, env: bool| {
+        let mut cmd = streamlinc();
+        cmd.args([
+            "assets/rateconvert.str",
+            "-n",
+            "96",
+            "--quiet",
+            "--emit-graph",
+        ]);
+        cmd.args(flag);
+        cmd.env_remove("STREAMLIN_NO_BYTECODE");
+        if env {
+            cmd.env("STREAMLIN_NO_BYTECODE", "1");
+        }
+        let out = cmd.output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "{stderr}");
+        (out.stdout, stderr)
+    };
+    let (default, stderr) = run(None, false);
+    assert!(stderr.contains("tier: bytecode"), "{stderr}");
+    for (flag, env) in [(Some("--no-bytecode"), false), (None, true)] {
+        let (stdout, stderr) = run(flag, env);
+        assert!(
+            stderr.contains("tier: tree-walker"),
+            "{flag:?} env={env}: {stderr}"
+        );
+        assert_eq!(stdout, default, "{flag:?} env={env}: output bits differ");
+    }
+}

@@ -17,11 +17,7 @@ use streamlin::graph::elaborate;
 use streamlin::lang::parse;
 use streamlin::runtime::engine::RunError;
 use streamlin::runtime::fission::Fission;
-use streamlin::runtime::measure::{
-    profile, profile_fission, profile_supervised, profile_threads, ExecMode, ProfileError,
-    Scheduler, Supervision,
-};
-use streamlin::runtime::MatMulStrategy;
+use streamlin::runtime::{run, ProfileError, RunSpec};
 use streamlin::support::InjectFaults;
 
 #[test]
@@ -78,7 +74,7 @@ fn runtime_rate_violation_is_caught() {
     )
     .unwrap();
     let g = elaborate(&p).unwrap();
-    let err = profile(&OptStream::from_graph(&g), 100, MatMulStrategy::Unrolled).unwrap_err();
+    let err = run(&OptStream::from_graph(&g), &RunSpec::new(100), None, None).unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("push"), "{msg}");
 }
@@ -100,7 +96,7 @@ fn feedback_without_enqueue_deadlocks_cleanly() {
     )
     .unwrap();
     let g = elaborate(&p).unwrap();
-    let err = profile(&OptStream::from_graph(&g), 10, MatMulStrategy::Unrolled).unwrap_err();
+    let err = run(&OptStream::from_graph(&g), &RunSpec::new(10), None, None).unwrap_err();
     assert!(matches!(
         err,
         streamlin::runtime::measure::ProfileError::Run(RunError::Deadlock { .. })
@@ -164,36 +160,34 @@ fn chain_opt() -> OptStream {
 
 /// The unfaulted pipeline run every drilled run is compared against.
 fn reference() -> streamlin::runtime::measure::Profile {
-    profile_threads(
+    run(
         &chain_opt(),
-        N,
-        MatMulStrategy::Unrolled,
-        Scheduler::Auto,
-        ExecMode::Measured,
-        THREADS,
+        &RunSpec {
+            threads: Some(THREADS),
+            ..RunSpec::new(N)
+        },
+        None,
+        None,
     )
     .expect("clean pipeline run")
 }
 
-/// Runs the chain under supervision with `spec` injected.
+/// Runs the chain under a 400 ms watchdog with `spec` injected,
+/// degrading to the single-threaded plan when `fallback` is on.
 fn drill(
     spec: &str,
-    sup: &Supervision,
+    fallback: bool,
     fission: Fission,
 ) -> Result<streamlin::runtime::measure::Profile, ProfileError> {
     let fault = InjectFaults::parse(spec).expect("valid fault spec");
-    profile_supervised(
-        &chain_opt(),
-        N,
-        MatMulStrategy::Unrolled,
-        Scheduler::Auto,
-        ExecMode::Measured,
-        Some(THREADS),
+    let supervised = RunSpec {
+        threads: Some(THREADS),
         fission,
-        sup,
-        Some(&fault),
-        None,
-    )
+        watchdog: Some(Duration::from_millis(400)),
+        fallback,
+        ..RunSpec::new(N)
+    };
+    run(&chain_opt(), &supervised, None, Some(&fault))
 }
 
 fn assert_bits_equal(a: &[f64], b: &[f64]) {
@@ -203,26 +197,10 @@ fn assert_bits_equal(a: &[f64], b: &[f64]) {
     }
 }
 
-fn fallback_on() -> Supervision {
-    Supervision {
-        watchdog: Some(Duration::from_millis(400)),
-        fallback: true,
-        quantum: 0,
-    }
-}
-
-fn fallback_off() -> Supervision {
-    Supervision {
-        watchdog: Some(Duration::from_millis(400)),
-        fallback: false,
-        quantum: 0,
-    }
-}
-
 #[test]
 fn injected_worker_panic_degrades_to_identical_bits() {
     let clean = reference();
-    let prof = drill("7:panic@s1", &fallback_on(), Fission::Off).expect("fallback must complete");
+    let prof = drill("7:panic@s1", true, Fission::Off).expect("fallback must complete");
     let reason = prof
         .degraded
         .as_deref()
@@ -234,7 +212,7 @@ fn injected_worker_panic_degrades_to_identical_bits() {
 
 #[test]
 fn injected_worker_panic_without_fallback_is_structured() {
-    let err = drill("7:panic@s1", &fallback_off(), Fission::Off).unwrap_err();
+    let err = drill("7:panic@s1", false, Fission::Off).unwrap_err();
     let ProfileError::Run(e) = &err else {
         panic!("expected a run error, got {err}");
     };
@@ -245,7 +223,7 @@ fn injected_worker_panic_without_fallback_is_structured() {
 #[test]
 fn wedged_stage_trips_the_watchdog_instead_of_hanging() {
     let t0 = Instant::now();
-    let err = drill("3:wedge@s0", &fallback_off(), Fission::Off).unwrap_err();
+    let err = drill("3:wedge@s0", false, Fission::Off).unwrap_err();
     let ProfileError::Run(e) = &err else {
         panic!("expected a run error, got {err}");
     };
@@ -258,7 +236,7 @@ fn wedged_stage_trips_the_watchdog_instead_of_hanging() {
 #[test]
 fn wedged_stage_with_fallback_completes_bit_identical() {
     let clean = reference();
-    let prof = drill("3:wedge@s1", &fallback_on(), Fission::Off).expect("fallback must complete");
+    let prof = drill("3:wedge@s1", true, Fission::Off).expect("fallback must complete");
     assert!(prof.degraded.is_some());
     assert_bits_equal(&clean.outputs, &prof.outputs);
 }
@@ -268,7 +246,7 @@ fn dead_worker_thread_degrades_to_identical_bits() {
     let clean = reference();
     // `die` kills the pool thread itself at job start; liveness detection
     // must catch it and the pool must respawn a replacement later.
-    let prof = drill("5:die@s1", &fallback_on(), Fission::Off).expect("fallback must complete");
+    let prof = drill("5:die@s1", true, Fission::Off).expect("fallback must complete");
     let reason = prof
         .degraded
         .as_deref()
@@ -280,7 +258,7 @@ fn dead_worker_thread_degrades_to_identical_bits() {
 #[test]
 fn refused_pool_acquisition_degrades_to_identical_bits() {
     let clean = reference();
-    let prof = drill("9:refuse#1", &fallback_on(), Fission::Off).expect("fallback must complete");
+    let prof = drill("9:refuse#1", true, Fission::Off).expect("fallback must complete");
     let reason = prof
         .degraded
         .as_deref()
@@ -291,7 +269,7 @@ fn refused_pool_acquisition_degrades_to_identical_bits() {
 
 #[test]
 fn refused_pool_acquisition_without_fallback_is_structured() {
-    let err = drill("9:refuse#1", &fallback_off(), Fission::Off).unwrap_err();
+    let err = drill("9:refuse#1", false, Fission::Off).unwrap_err();
     let ProfileError::Run(e) = &err else {
         panic!("expected a run error, got {err}");
     };
@@ -304,7 +282,7 @@ fn timing_faults_never_change_output() {
     // completes on the pipeline (no degradation) with identical bits,
     // tallies and firing counts.
     let clean = reference();
-    let prof = drill("5:slow@s0=40,delay=20", &fallback_on(), Fission::Off)
+    let prof = drill("5:slow@s0=40,delay=20", true, Fission::Off)
         .expect("timing faults must not fail the run");
     assert!(prof.degraded.is_none(), "{:?}", prof.degraded);
     assert_bits_equal(&clean.outputs, &prof.outputs);
@@ -314,25 +292,25 @@ fn timing_faults_never_change_output() {
 
 #[test]
 fn fission_panic_degrades_to_identical_bits() {
-    let clean = profile_fission(
+    let clean = run(
         &chain_opt(),
-        N,
-        MatMulStrategy::Unrolled,
-        Scheduler::Auto,
-        ExecMode::Measured,
-        THREADS,
-        Fission::Width(2),
+        &RunSpec {
+            threads: Some(THREADS),
+            fission: Fission::Width(2),
+            ..RunSpec::new(N)
+        },
+        None,
+        None,
     )
     .expect("clean fissed run");
-    let prof =
-        drill("13:panic", &fallback_on(), Fission::Width(2)).expect("fallback must complete");
+    let prof = drill("13:panic", true, Fission::Width(2)).expect("fallback must complete");
     assert_bits_equal(&clean.outputs, &prof.outputs);
 }
 
 #[test]
 fn nofission_directive_forces_a_clean_unfissed_run() {
     let clean = reference();
-    let prof = drill("1:nofission", &fallback_on(), Fission::Width(2))
+    let prof = drill("1:nofission", true, Fission::Width(2))
         .expect("a refused fission pass is a clean no-op");
     assert_eq!(prof.fission, 1, "fission must have been refused");
     assert!(prof.degraded.is_none());

@@ -20,8 +20,8 @@ use streamlin::core::cost::CostModel;
 use streamlin::core::select::{select, SelectOptions};
 use streamlin::core::OptStream;
 use streamlin::runtime::fission::{fissability, Fission};
-use streamlin::runtime::measure::{profile_fission, ExecMode, Scheduler};
 use streamlin::runtime::MatMulStrategy;
+use streamlin::runtime::{run, ExecMode, RunSpec, Scheduler};
 
 /// `STREAMLIN_TEST_THREADS=n` sets the pipeline stage budget the fissed
 /// graphs run under (CI exercises 2); the default also uses 2 so the
@@ -61,27 +61,32 @@ fn check(bench: &streamlin::benchmarks::Benchmark, outputs: usize) -> bool {
     let mut engaged = false;
     for (label, opt) in configs(bench) {
         for mode in [ExecMode::Measured, ExecMode::Fast] {
-            let reference = profile_fission(
+            let reference = run(
                 &opt,
-                outputs,
-                MatMulStrategy::Unrolled,
-                Scheduler::Auto,
-                mode,
-                threads,
-                Fission::Off,
+                &RunSpec {
+                    matmul: Some(MatMulStrategy::Unrolled),
+                    mode,
+                    threads: Some(threads),
+                    ..RunSpec::new(outputs)
+                },
+                None,
+                None,
             )
             .unwrap_or_else(|e| panic!("{} {label} unfissed: {e}", bench.name()));
             assert_eq!(reference.fission, 1);
 
             for width in [2usize, 4] {
-                let prof = profile_fission(
+                let prof = run(
                     &opt,
-                    outputs,
-                    MatMulStrategy::Unrolled,
-                    Scheduler::Auto,
-                    mode,
-                    threads,
-                    Fission::Width(width),
+                    &RunSpec {
+                        matmul: Some(MatMulStrategy::Unrolled),
+                        mode,
+                        threads: Some(threads),
+                        fission: Fission::Width(width),
+                        ..RunSpec::new(outputs)
+                    },
+                    None,
+                    None,
                 )
                 .unwrap_or_else(|e| panic!("{} {label} fission={width}: {e}", bench.name()));
                 engaged |= prof.fission > 1;
@@ -260,14 +265,15 @@ fn feedback_loops_are_refused_fission() {
         OptStream::from_graph(&g)
     };
     for width in [2usize, 4] {
-        let prof = profile_fission(
+        let prof = run(
             &opt,
-            16,
-            MatMulStrategy::Unrolled,
-            Scheduler::Auto,
-            ExecMode::Measured,
-            2,
-            Fission::Width(width),
+            &RunSpec {
+                threads: Some(2),
+                fission: Fission::Width(width),
+                ..RunSpec::new(16)
+            },
+            None,
+            None,
         )
         .unwrap();
         assert_eq!(prof.fission, 1, "feedback graph must stay unfissed");

@@ -19,9 +19,13 @@
 //!   pipeline, or via the watchdog-guarded single-threaded fallback)
 //!   with the same bits,
 //! * plus a **bytecode ablation**: the single-threaded static plan run
-//!   again with the bytecode tier disabled (`STREAMLIN_NO_BYTECODE`
-//!   semantics via `set_bytecode_tier(false)`), pinning the flattened
-//!   instruction dispatch against the tree-walking reference.
+//!   again with the bytecode tier disabled (the run's `RunSpec::tier`),
+//!   pinning the flattened instruction dispatch against the
+//!   tree-walking reference.
+//!
+//! Every run takes its tier from `env_tier()`, so the
+//! `STREAMLIN_NO_BYTECODE=1` CI leg runs the whole suite on the
+//! tree-walker.
 //!
 //! The differential property: all of them print **bit-identical**
 //! outputs, and — within the cycle-quantized pipeline family, where the
@@ -42,10 +46,8 @@ use streamlin::core::cost::CostModel;
 use streamlin::core::select::{select, SelectOptions};
 use streamlin::core::OptStream;
 use streamlin::runtime::fission::Fission;
-use streamlin::runtime::measure::{
-    profile_fission, profile_mode, profile_supervised, ExecMode, Scheduler, Supervision,
-};
-use streamlin::runtime::{set_bytecode_tier, MatMulStrategy};
+use streamlin::runtime::{run, RunSpec, Scheduler, Tier};
+use streamlin::service::env_tier;
 use streamlin::support::InjectFaults;
 
 /// FNV-1a over the rendered program: a deterministic per-case fault seed,
@@ -284,6 +286,15 @@ fn assert_bits_equal(label: &str, reference: &[f64], got: &[f64]) {
     }
 }
 
+/// The default spec on the tier the environment selects
+/// (`STREAMLIN_NO_BYTECODE` runs the whole suite on the tree-walker).
+fn tiered(outputs: usize) -> RunSpec {
+    RunSpec {
+        tier: env_tier(),
+        ..RunSpec::new(outputs)
+    }
+}
+
 /// Runs the differential property; returns true if fission engaged for
 /// at least one (config, width) combination.
 fn check_spec(spec: &Spec) -> bool {
@@ -329,38 +340,46 @@ fn check_spec(spec: &Spec) -> bool {
     let outputs = 48;
     let threads = test_threads();
     for (label, opt) in configs {
-        let dynamic = profile_mode(
+        let dynamic = run(
             &opt,
-            outputs,
-            MatMulStrategy::Unrolled,
-            Scheduler::Dynamic,
-            ExecMode::Measured,
+            &RunSpec {
+                sched: Scheduler::Dynamic,
+                ..tiered(outputs)
+            },
+            None,
+            None,
         )
         .unwrap_or_else(|e| panic!("{label} dynamic: {e}\n{src}"));
-        let static1 = profile_mode(
+        let static1 = run(
             &opt,
-            outputs,
-            MatMulStrategy::Unrolled,
-            Scheduler::Static,
-            ExecMode::Measured,
+            &RunSpec {
+                sched: Scheduler::Static,
+                ..tiered(outputs)
+            },
+            None,
+            None,
         )
         .unwrap_or_else(|e| panic!("{label} static: {e}\n{src}"));
         assert_bits_equal(label, &dynamic.outputs, &static1.outputs);
 
         // The bytecode ablation family: the same plan with interpreted
         // work functions forced back onto the tree-walker must print the
-        // same bits. (Restore the tier before unwrapping so an engine
-        // error can't leave it disabled for concurrent tests.)
-        set_bytecode_tier(false);
-        let treewalk = profile_mode(
+        // same bits. The tier lives in this run's spec, so concurrent
+        // tests keep their own.
+        let treewalk = run(
             &opt,
-            outputs,
-            MatMulStrategy::Unrolled,
-            Scheduler::Static,
-            ExecMode::Measured,
-        );
-        set_bytecode_tier(true);
-        let treewalk = treewalk.unwrap_or_else(|e| panic!("{label} tree-walk: {e}\n{src}"));
+            &RunSpec {
+                sched: Scheduler::Static,
+                tier: Tier {
+                    bytecode: false,
+                    ..env_tier()
+                },
+                ..tiered(outputs)
+            },
+            None,
+            None,
+        )
+        .unwrap_or_else(|e| panic!("{label} tree-walk: {e}\n{src}"));
         assert_bits_equal(label, &dynamic.outputs, &treewalk.outputs);
         assert_eq!(
             static1.ops, treewalk.ops,
@@ -369,26 +388,27 @@ fn check_spec(spec: &Spec) -> bool {
 
         // The cycle-quantized pipeline family: tallies and firing counts
         // must match across fission widths, including width 1.
-        let unfissed = profile_fission(
+        let unfissed = run(
             &opt,
-            outputs,
-            MatMulStrategy::Unrolled,
-            Scheduler::Auto,
-            ExecMode::Measured,
-            threads,
-            Fission::Off,
+            &RunSpec {
+                threads: Some(threads),
+                ..tiered(outputs)
+            },
+            None,
+            None,
         )
         .unwrap_or_else(|e| panic!("{label} pipeline: {e}\n{src}"));
         assert_bits_equal(label, &dynamic.outputs, &unfissed.outputs);
         for width in [2usize, 4] {
-            let fissed = profile_fission(
+            let fissed = run(
                 &opt,
-                outputs,
-                MatMulStrategy::Unrolled,
-                Scheduler::Auto,
-                ExecMode::Measured,
-                threads,
-                Fission::Width(width),
+                &RunSpec {
+                    threads: Some(threads),
+                    fission: Fission::Width(width),
+                    ..tiered(outputs)
+                },
+                None,
+                None,
             )
             .unwrap_or_else(|e| panic!("{label} fission={width}: {e}\n{src}"));
             engaged |= fissed.fission > 1;
@@ -410,36 +430,28 @@ fn check_spec(spec: &Spec) -> bool {
         // or via the single-threaded fallback, and prints the same bits.
         let fault =
             InjectFaults::parse(&format!("{}:panic", fault_seed(&src))).expect("valid fault spec");
-        let sup = Supervision {
+        let supervised = RunSpec {
+            threads: Some(threads),
             watchdog: Some(Duration::from_secs(5)),
             fallback: true,
-            quantum: 0,
+            ..tiered(outputs)
         };
-        let drilled = profile_supervised(
-            &opt,
-            outputs,
-            MatMulStrategy::Unrolled,
-            Scheduler::Auto,
-            ExecMode::Measured,
-            Some(threads),
-            Fission::Off,
-            &sup,
-            Some(&fault),
-            None,
-        )
-        .unwrap_or_else(|e| panic!("{label} fault drill: {e}\n{src}"));
+        let drilled = run(&opt, &supervised, None, Some(&fault))
+            .unwrap_or_else(|e| panic!("{label} fault drill: {e}\n{src}"));
         assert_bits_equal(label, &dynamic.outputs, &drilled.outputs);
 
         // The fissed graph under the *dynamic* scheduler: the synthesized
         // split/worker/join nodes must behave identically data-driven.
-        let fissed_dynamic = profile_fission(
+        let fissed_dynamic = run(
             &opt,
-            outputs,
-            MatMulStrategy::Unrolled,
-            Scheduler::Dynamic,
-            ExecMode::Measured,
-            1,
-            Fission::Width(2),
+            &RunSpec {
+                sched: Scheduler::Dynamic,
+                threads: Some(1),
+                fission: Fission::Width(2),
+                ..tiered(outputs)
+            },
+            None,
+            None,
         )
         .unwrap_or_else(|e| panic!("{label} fissed dynamic: {e}\n{src}"));
         assert_bits_equal(label, &dynamic.outputs, &fissed_dynamic.outputs);

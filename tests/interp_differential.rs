@@ -24,8 +24,9 @@ use streamlin::graph::exec::{Env, Host, Interp};
 use streamlin::graph::ir::FilterInst;
 use streamlin::graph::lower::{SlotInterp, SlotStore};
 use streamlin::graph::value::{Cell, EvalError, Value};
-use streamlin::runtime::measure::{profile_mode, ExecMode, Scheduler};
 use streamlin::runtime::MatMulStrategy;
+use streamlin::runtime::{run, ExecMode, RunSpec};
+use streamlin::service::env_tier;
 
 /// Fuel per firing, matching the runtime engine's budget.
 const FIRING_FUEL: u64 = 50_000_000;
@@ -342,22 +343,21 @@ fn interpreted_programs_match_across_modes() {
     for bench in streamlin::benchmarks::all_default() {
         let opt = OptStream::from_graph(bench.graph());
         let n = bench.default_outputs().min(200);
-        let measured = profile_mode(
-            &opt,
-            n,
-            MatMulStrategy::Unrolled,
-            Scheduler::Auto,
-            ExecMode::Measured,
-        )
-        .unwrap_or_else(|e| panic!("{} measured: {e}", bench.name()));
-        let fast = profile_mode(
-            &opt,
-            n,
-            MatMulStrategy::Unrolled,
-            Scheduler::Auto,
-            ExecMode::Fast,
-        )
-        .unwrap_or_else(|e| panic!("{} fast: {e}", bench.name()));
+        // The environment's tier: `STREAMLIN_NO_BYTECODE=1` runs both
+        // modes on the tree-walker.
+        let measured = RunSpec {
+            tier: env_tier(),
+            ..RunSpec::new(n)
+        };
+        let fast = RunSpec {
+            matmul: Some(MatMulStrategy::Unrolled),
+            mode: ExecMode::Fast,
+            ..measured.clone()
+        };
+        let measured = run(&opt, &measured, None, None)
+            .unwrap_or_else(|e| panic!("{} measured: {e}", bench.name()));
+        let fast =
+            run(&opt, &fast, None, None).unwrap_or_else(|e| panic!("{} fast: {e}", bench.name()));
         assert_eq!(
             bits(&measured.outputs),
             bits(&fast.outputs),

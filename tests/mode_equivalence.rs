@@ -13,8 +13,8 @@
 //! [`NoCount`]: streamlin::support::NoCount
 
 use streamlin::core::combine::{analyze_graph, replace, ReplaceOptions};
-use streamlin::runtime::measure::{profile_mode, ExecMode, Scheduler};
 use streamlin::runtime::MatMulStrategy;
+use streamlin::runtime::{run, ExecMode, RunSpec};
 
 fn outputs_for(name: &str) -> usize {
     match name {
@@ -35,10 +35,27 @@ fn fast_mode_is_bit_identical_to_measured() {
         ] {
             let opt = replace(bench.graph(), &analysis, &opts);
             let strategy = MatMulStrategy::Unrolled;
-            let measured = profile_mode(&opt, n, strategy, Scheduler::Auto, ExecMode::Measured)
-                .unwrap_or_else(|e| panic!("{} measured: {e}", bench.name()));
-            let fast = profile_mode(&opt, n, strategy, Scheduler::Auto, ExecMode::Fast)
-                .unwrap_or_else(|e| panic!("{} fast: {e}", bench.name()));
+            let measured = run(
+                &opt,
+                &RunSpec {
+                    matmul: Some(strategy),
+                    ..RunSpec::new(n)
+                },
+                None,
+                None,
+            )
+            .unwrap_or_else(|e| panic!("{} measured: {e}", bench.name()));
+            let fast = run(
+                &opt,
+                &RunSpec {
+                    matmul: Some(strategy),
+                    mode: ExecMode::Fast,
+                    ..RunSpec::new(n)
+                },
+                None,
+                None,
+            )
+            .unwrap_or_else(|e| panic!("{} fast: {e}", bench.name()));
             assert_eq!(
                 measured.outputs.len(),
                 fast.outputs.len(),
@@ -66,20 +83,25 @@ fn simd_strategy_agrees_with_unrolled_on_every_benchmark() {
         let analysis = analyze_graph(bench.graph());
         let n = outputs_for(bench.name());
         let opt = replace(bench.graph(), &analysis, &ReplaceOptions::maximal_linear());
-        let unrolled = profile_mode(
+        let unrolled = run(
             &opt,
-            n,
-            MatMulStrategy::Unrolled,
-            Scheduler::Auto,
-            ExecMode::Fast,
+            &RunSpec {
+                matmul: Some(MatMulStrategy::Unrolled),
+                mode: ExecMode::Fast,
+                ..RunSpec::new(n)
+            },
+            None,
+            None,
         )
         .unwrap_or_else(|e| panic!("{} unrolled: {e}", bench.name()));
-        let simd = profile_mode(
+        let simd = run(
             &opt,
-            n,
-            MatMulStrategy::Simd,
-            Scheduler::Auto,
-            ExecMode::Fast,
+            &RunSpec {
+                mode: ExecMode::Fast,
+                ..RunSpec::new(n)
+            },
+            None,
+            None,
         )
         .unwrap_or_else(|e| panic!("{} simd: {e}", bench.name()));
         assert_eq!(

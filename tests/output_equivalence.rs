@@ -6,15 +6,16 @@
 use streamlin::core::combine::{analyze_graph, replace, ReplaceOptions, ReplaceTarget};
 use streamlin::core::cost::CostModel;
 use streamlin::core::select::{select, SelectOptions};
-use streamlin::runtime::measure::{first_mismatch, profile};
 use streamlin::runtime::MatMulStrategy;
+use streamlin::runtime::{first_mismatch, run, RunSpec};
 
 fn check(bench: &streamlin::benchmarks::Benchmark, outputs: usize) {
     let analysis = analyze_graph(bench.graph());
-    let baseline = profile(
+    let baseline = run(
         &replace(bench.graph(), &analysis, &ReplaceOptions::per_filter()),
-        outputs,
-        MatMulStrategy::Unrolled,
+        &RunSpec::new(outputs),
+        None,
+        None,
     )
     .unwrap_or_else(|e| panic!("{} baseline: {e}", bench.name()));
 
@@ -53,8 +54,16 @@ fn check(bench: &streamlin::benchmarks::Benchmark, outputs: usize) {
         ),
     ];
     for (label, opt, strategy) in configs {
-        let prof = profile(&opt, outputs, strategy)
-            .unwrap_or_else(|e| panic!("{} {label}: {e}", bench.name()));
+        let prof = run(
+            &opt,
+            &RunSpec {
+                matmul: Some(strategy),
+                ..RunSpec::new(outputs)
+            },
+            None,
+            None,
+        )
+        .unwrap_or_else(|e| panic!("{} {label}: {e}", bench.name()));
         if let Some(i) = first_mismatch(&baseline.outputs, &prof.outputs, 1e-5, 1e-5) {
             panic!(
                 "{} {label}: output {i} differs: {} vs {}",

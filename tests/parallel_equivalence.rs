@@ -8,15 +8,15 @@
 //! The pipeline executor runs each stage's slice of the compiled schedule
 //! verbatim (same batch sizes, same kernels, same interpreter), so output
 //! equality here is exact: `f64::to_bits`, not a tolerance. Feedback
-//! programs (dtoa) have no static plan; `profile_threads` must fall back
+//! programs (dtoa) have no static plan; a pipeline `run` must fall back
 //! to the single-threaded data-driven engine and still match.
 
 use streamlin::core::combine::{analyze_graph, replace, ReplaceOptions};
 use streamlin::core::cost::CostModel;
 use streamlin::core::select::{select, SelectOptions};
 use streamlin::core::OptStream;
-use streamlin::runtime::measure::{profile_mode, profile_threads, ExecMode, Scheduler};
 use streamlin::runtime::MatMulStrategy;
+use streamlin::runtime::{run, ExecMode, RunSpec};
 
 fn configs(bench: &streamlin::benchmarks::Benchmark) -> Vec<(&'static str, OptStream)> {
     let analysis = analyze_graph(bench.graph());
@@ -44,24 +44,30 @@ fn check(bench: &streamlin::benchmarks::Benchmark, outputs: usize) {
         for mode in [ExecMode::Measured, ExecMode::Fast] {
             // The single-threaded static plan is the output reference
             // (dynamic fallback for feedback programs, via Auto).
-            let reference = profile_mode(
+            let reference = run(
                 &opt,
-                outputs,
-                MatMulStrategy::Unrolled,
-                Scheduler::Auto,
-                mode,
+                &RunSpec {
+                    matmul: Some(MatMulStrategy::Unrolled),
+                    mode,
+                    ..RunSpec::new(outputs)
+                },
+                None,
+                None,
             )
             .unwrap_or_else(|e| panic!("{} {label} reference: {e}", bench.name()));
 
             let mut sweep = Vec::new();
             for threads in [1usize, 2, 4] {
-                let prof = profile_threads(
+                let prof = run(
                     &opt,
-                    outputs,
-                    MatMulStrategy::Unrolled,
-                    Scheduler::Auto,
-                    mode,
-                    threads,
+                    &RunSpec {
+                        matmul: Some(MatMulStrategy::Unrolled),
+                        mode,
+                        threads: Some(threads),
+                        ..RunSpec::new(outputs)
+                    },
+                    None,
+                    None,
                 )
                 .unwrap_or_else(|e| panic!("{} {label} threads={threads}: {e}", bench.name()));
                 assert_eq!(
@@ -156,7 +162,7 @@ fn oversampler_pipeline_is_deterministic() {
 #[test]
 fn dtoa_pipeline_falls_back_identically() {
     // dtoa has a noise-shaping feedback loop: no static plan exists, and
-    // `profile_threads` must run the dynamic fallback for every thread
+    // A pipeline `run` must run the dynamic fallback for every thread
     // count with identical results.
     check(&streamlin::benchmarks::dtoa(), 256);
 }

@@ -3,7 +3,7 @@
 //! draws stage workers from a persistent process-wide pool
 //! (`streamlin_runtime::pool`); this suite pins both halves of the fix:
 //!
-//! * two back-to-back `profile_threads` runs produce identical output
+//! * two back-to-back pipeline runs produce identical output
 //!   (pooling changes scheduling only, never data), and
 //! * the second run spawns **zero** new threads — the pool's spawn
 //!   counter is flat across repetitions.
@@ -16,11 +16,7 @@ use std::time::Duration;
 
 use streamlin::core::combine::{analyze_graph, replace, ReplaceOptions};
 use streamlin::core::OptStream;
-use streamlin::runtime::fission::Fission;
-use streamlin::runtime::measure::{
-    profile_supervised, profile_threads, ExecMode, Scheduler, Supervision,
-};
-use streamlin::runtime::MatMulStrategy;
+use streamlin::runtime::{run, RunSpec};
 use streamlin::support::InjectFaults;
 
 fn opt() -> OptStream {
@@ -32,27 +28,28 @@ fn opt() -> OptStream {
 #[test]
 fn repeated_runs_reuse_the_worker_pool_and_match_bit_for_bit() {
     let opt = opt();
-    let run = |threads: usize| {
-        profile_threads(
+    let pipeline = |threads: usize| {
+        run(
             &opt,
-            256,
-            MatMulStrategy::Unrolled,
-            Scheduler::Auto,
-            ExecMode::Measured,
-            threads,
+            &RunSpec {
+                threads: Some(threads),
+                ..RunSpec::new(256)
+            },
+            None,
+            None,
         )
         .expect("pipeline run")
     };
 
     // Warm the pool to this shape, then measure the steady state.
-    let first = run(3);
+    let first = pipeline(3);
     let spawned_after_first = streamlin::runtime::pool::global_spawned();
     assert!(
         spawned_after_first >= first.threads,
         "the first run must have populated the pool"
     );
 
-    let second = run(3);
+    let second = pipeline(3);
     let spawned_after_second = streamlin::runtime::pool::global_spawned();
     assert_eq!(
         spawned_after_first, spawned_after_second,
@@ -68,7 +65,7 @@ fn repeated_runs_reuse_the_worker_pool_and_match_bit_for_bit() {
     assert_eq!(first.firings, second.firings);
 
     // A smaller run fits inside the warm pool too.
-    let third = run(2);
+    let third = pipeline(2);
     assert_eq!(
         streamlin::runtime::pool::global_spawned(),
         spawned_after_second,
@@ -82,25 +79,15 @@ fn repeated_runs_reuse_the_worker_pool_and_match_bit_for_bit() {
     // fallback (bit-identical output), the pool retires the corpse, and
     // the next acquisition of the same shape spawns a replacement.
     let retired_before = streamlin::runtime::pool::global_retired();
-    let sup = Supervision {
+    let supervised = RunSpec {
+        threads: Some(3),
         watchdog: Some(Duration::from_millis(500)),
         fallback: true,
-        quantum: 0,
+        ..RunSpec::new(256)
     };
     let fault = InjectFaults::parse("5:die@s1").expect("valid fault spec");
-    let degraded = profile_supervised(
-        &opt,
-        256,
-        MatMulStrategy::Unrolled,
-        Scheduler::Auto,
-        ExecMode::Measured,
-        Some(3),
-        Fission::Off,
-        &sup,
-        Some(&fault),
-        None,
-    )
-    .expect("a killed worker must degrade, not fail");
+    let degraded =
+        run(&opt, &supervised, None, Some(&fault)).expect("a killed worker must degrade, not fail");
     assert!(
         degraded.degraded.is_some(),
         "the run must report its degradation"
@@ -115,7 +102,7 @@ fn repeated_runs_reuse_the_worker_pool_and_match_bit_for_bit() {
     );
 
     let spawned_before_heal = streamlin::runtime::pool::global_spawned();
-    let healed = run(3);
+    let healed = pipeline(3);
     assert!(
         streamlin::runtime::pool::global_spawned() > spawned_before_heal,
         "the next acquisition must respawn a replacement for the dead worker"

@@ -8,8 +8,7 @@ use streamlin::core::combine::analyze_graph;
 use streamlin::core::opt::OptStream;
 use streamlin::graph::elaborate;
 use streamlin::lang::parse;
-use streamlin::runtime::measure::profile;
-use streamlin::runtime::MatMulStrategy;
+use streamlin::runtime::{run, RunSpec};
 
 /// A random affine work function: for each output, a sum of
 /// `coeff * peek(i)` terms plus a constant.
@@ -79,16 +78,8 @@ proptest! {
         // find it (source and sink are the non-linear ones).
         prop_assert_eq!(analysis.linear_count(), 1);
 
-        let interp = profile(&OptStream::from_graph(&graph), 64, MatMulStrategy::Unrolled).unwrap();
-        let node_based = profile(
-            &streamlin::core::combine::replace(
-                &graph,
-                &analysis,
-                &streamlin::core::combine::ReplaceOptions::per_filter(),
-            ),
-            64,
-            MatMulStrategy::Unrolled,
-        )
+        let interp = run(&OptStream::from_graph(&graph), &RunSpec::new(64), None, None).unwrap();
+        let node_based = run(&streamlin::core::combine::replace( &graph, &analysis, &streamlin::core::combine::ReplaceOptions::per_filter(), ), &RunSpec::new(64), None, None)
         .unwrap();
         prop_assert_eq!(interp.outputs.len(), node_based.outputs.len());
         for (a, b) in interp.outputs.iter().zip(&node_based.outputs) {

@@ -9,8 +9,9 @@ use streamlin::core::combine::{analyze_graph, replace, ReplaceOptions, ReplaceTa
 use streamlin::core::cost::CostModel;
 use streamlin::core::select::{select, SelectOptions};
 use streamlin::core::OptStream;
-use streamlin::runtime::measure::{profile_mode, ExecMode, Scheduler};
 use streamlin::runtime::MatMulStrategy;
+use streamlin::runtime::{run, ExecMode, RunSpec, Scheduler};
+use streamlin::service::env_tier;
 
 /// CI runs this suite once per execution mode: `STREAMLIN_TEST_MODE=fast`
 /// selects the uncounted production path, which must print the same bits
@@ -85,17 +86,25 @@ fn configs(bench: &streamlin::benchmarks::Benchmark) -> Vec<(&'static str, OptSt
     ]
 }
 
+/// The suite's base spec: the CI leg's mode and the environment's tier
+/// (`STREAMLIN_NO_BYTECODE=1` reruns the suite on the tree-walker).
+fn base(outputs: usize) -> RunSpec {
+    RunSpec {
+        matmul: Some(MatMulStrategy::Unrolled),
+        mode: test_mode(),
+        tier: env_tier(),
+        ..RunSpec::new(outputs)
+    }
+}
+
 fn check(bench: &streamlin::benchmarks::Benchmark, outputs: usize) {
     for (label, opt) in configs(bench) {
-        let mode = test_mode();
-        let dynamic = profile_mode(
-            &opt,
-            outputs,
-            MatMulStrategy::Unrolled,
-            Scheduler::Dynamic,
-            mode,
-        )
-        .unwrap_or_else(|e| panic!("{} {label} dynamic: {e}", bench.name()));
+        let dynamic = RunSpec {
+            sched: Scheduler::Dynamic,
+            ..base(outputs)
+        };
+        let dynamic = run(&opt, &dynamic, None, None)
+            .unwrap_or_else(|e| panic!("{} {label} dynamic: {e}", bench.name()));
         // Feedback programs have no static plan; `Auto` must still run
         // them (via the fallback) with identical output.
         let sched = if opt.has_feedback() {
@@ -103,21 +112,15 @@ fn check(bench: &streamlin::benchmarks::Benchmark, outputs: usize) {
         } else {
             Scheduler::Static
         };
-        let staticp = match (test_threads(), test_fission()) {
-            (None, streamlin::runtime::fission::Fission::Off) => {
-                profile_mode(&opt, outputs, MatMulStrategy::Unrolled, sched, mode)
-            }
-            (threads, fission) => streamlin::runtime::measure::profile_fission(
-                &opt,
-                outputs,
-                MatMulStrategy::Unrolled,
-                sched,
-                mode,
-                threads.unwrap_or(1),
-                fission,
-            ),
-        }
-        .unwrap_or_else(|e| panic!("{} {label} static: {e}", bench.name()));
+        // A lone fission request runs a one-stage pipeline.
+        let staticp = RunSpec {
+            sched,
+            threads: test_threads(),
+            fission: test_fission(),
+            ..base(outputs)
+        };
+        let staticp = run(&opt, &staticp, None, None)
+            .unwrap_or_else(|e| panic!("{} {label} static: {e}", bench.name()));
         if !opt.has_feedback() {
             assert_eq!(
                 staticp.sched,
@@ -195,14 +198,7 @@ fn every_feedback_free_benchmark_compiles_a_plan() {
     for b in streamlin::benchmarks::all_default() {
         let analysis = analyze_graph(b.graph());
         let opt = replace(b.graph(), &analysis, &ReplaceOptions::per_filter());
-        let prof = profile_mode(
-            &opt,
-            64,
-            MatMulStrategy::Unrolled,
-            Scheduler::Auto,
-            test_mode(),
-        )
-        .unwrap_or_else(|e| panic!("{}: {e}", b.name()));
+        let prof = run(&opt, &base(64), None, None).unwrap_or_else(|e| panic!("{}: {e}", b.name()));
         let expected = if opt.has_feedback() {
             Scheduler::Dynamic
         } else {

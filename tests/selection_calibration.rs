@@ -7,8 +7,7 @@
 use streamlin::core::combine::{analyze_graph, replace, ReplaceOptions};
 use streamlin::core::cost::CostModel;
 use streamlin::core::select::{select, SelectOptions};
-use streamlin::runtime::measure::profile;
-use streamlin::runtime::MatMulStrategy;
+use streamlin::runtime::{run, RunSpec};
 
 fn autosel(bench: &streamlin::benchmarks::Benchmark) -> streamlin::core::OptStream {
     let analysis = analyze_graph(bench.graph());
@@ -60,7 +59,7 @@ fn autosel_mults_never_worse_than_maximal() {
         let n = bench.default_outputs();
         let analysis = analyze_graph(bench.graph());
         let run = |opt: &streamlin::core::OptStream| {
-            profile(opt, n, MatMulStrategy::Unrolled)
+            run(opt, &RunSpec::new(n), None, None)
                 .unwrap()
                 .mults_per_output()
         };
@@ -94,7 +93,7 @@ fn fm_radio_autosel_beats_both_maximal_options() {
     let analysis = analyze_graph(bench.graph());
     let n = 256;
     let run = |opt: &streamlin::core::OptStream| {
-        profile(opt, n, MatMulStrategy::Unrolled)
+        run(opt, &RunSpec::new(n), None, None)
             .unwrap()
             .mults_per_output()
     };

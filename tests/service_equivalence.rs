@@ -1,7 +1,7 @@
 //! The service determinism contract: a program driven through the
 //! `streamlind` daemon — in any interleaving with other streams, any
 //! read batching, and across plan-cache hits — produces output
-//! **bit-identical** to the one-shot profiler `streamlinc` runs.
+//! **bit-identical** to the one-shot `run` that `streamlinc` performs.
 //!
 //! Values cross the wire as JSON numbers in Rust's shortest-round-trip
 //! formatting, which parses back bit-exactly for finite `f64` (pinned by
@@ -21,7 +21,7 @@ use streamlin::core::combine::analyze_graph;
 use streamlin::core::cost::CostModel;
 use streamlin::core::select::{select, SelectOptions};
 use streamlin::runtime::fission::Fission;
-use streamlin::runtime::measure::{profile_fission, profile_mode};
+use streamlin::runtime::{run, RunSpec};
 use streamlin::runtime::{ExecMode, Scheduler};
 use streamlin::service::{Service, ServiceOpts};
 use streamlin::support::json::{self, Json};
@@ -94,19 +94,12 @@ fn reference(
     )
     .unwrap_or_else(|e| panic!("{}: {e}", bench.name()))
     .opt;
-    let prof = match threads {
-        Some(t) => profile_fission(
-            &opt,
-            n,
-            mode.default_strategy(),
-            Scheduler::Auto,
-            mode,
-            t,
-            Fission::Off,
-        ),
-        None => profile_mode(&opt, n, mode.default_strategy(), Scheduler::Auto, mode),
-    }
-    .unwrap_or_else(|e| panic!("{}: {e}", bench.name()));
+    let spec = RunSpec {
+        mode,
+        threads,
+        ..RunSpec::new(n)
+    };
+    let prof = run(&opt, &spec, None, None).unwrap_or_else(|e| panic!("{}: {e}", bench.name()));
     assert_eq!(prof.outputs.len(), n, "{}: short reference", bench.name());
     prof.outputs
 }
@@ -144,12 +137,14 @@ fn non_finite_samples_survive_the_wire() {
     )
     .expect("selects")
     .opt;
-    let want = profile_mode(
+    let want = run(
         &opt,
-        n,
-        ExecMode::Fast.default_strategy(),
-        Scheduler::Auto,
-        ExecMode::Fast,
+        &RunSpec {
+            mode: ExecMode::Fast,
+            ..RunSpec::new(n)
+        },
+        None,
+        None,
     )
     .expect("profiles")
     .outputs;
@@ -182,8 +177,59 @@ fn non_finite_samples_survive_the_wire() {
     }
 }
 
+/// A lone `fission` request (no `threads`) fisses in the daemon exactly
+/// as `streamlinc --fission 2` does, through the same `RunSpec`
+/// normalization (a one-stage pipeline), under `auto` and `dynamic`
+/// scheduling alike: the `width` the daemon reports is the CLI's
+/// `Profile::fission`, and the values are bit-identical.
+#[test]
+fn lone_fission_fisses_like_the_cli() {
+    let bench = streamlin::benchmarks::all_default()
+        .into_iter()
+        .find(|b| b.name() == "FIR")
+        .expect("FIR benchmark");
+    let graph = bench.graph();
+    let opt = streamlin::core::optimize(graph, &analyze_graph(graph), "autosel").unwrap();
+    let n = 300;
+    let svc = roomy();
+    for (sched, label) in [(Scheduler::Auto, "auto"), (Scheduler::Dynamic, "dynamic")] {
+        // What `streamlinc --sched <label> --fission 2 --mode fast` runs.
+        let cli = RunSpec {
+            sched,
+            mode: ExecMode::Fast,
+            fission: Fission::Width(2),
+            fallback: true,
+            ..RunSpec::new(n)
+        };
+        let cli = run(&opt, &cli, None, None).unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert_eq!(cli.fission, 2, "{label}: the CLI must fiss FIR");
+        let id = format!("lone-fission-{label}");
+        let open = request_ok(
+            &svc,
+            &open_line(
+                &id,
+                bench.source(),
+                &[
+                    ("mode", Json::Str("fast".into())),
+                    ("sched", Json::Str(label.into())),
+                    ("fission", Json::Num(2.0)),
+                ],
+            ),
+        );
+        assert_eq!(
+            open.get("width").and_then(Json::as_num),
+            Some(cli.fission as f64),
+            "{label}: daemon width differs from the CLI's"
+        );
+        let mut got = Vec::new();
+        read_into(&svc, &id, n, &mut got);
+        assert_bits_equal(&id, &got, &cli.outputs);
+        request_ok(&svc, &format!("{{\"op\":\"close\",\"id\":\"{id}\"}}"));
+    }
+}
+
 /// All nine paper benchmarks, single stream each, read in uneven batches
-/// — bit-identical to the one-shot profiler — then reopened to pin the
+/// — bit-identical to the one-shot `run` — then reopened to pin the
 /// plan-cache-hit rerun on every program (including DToA's feedback
 /// loop, which runs data-driven).
 #[test]

@@ -3,18 +3,18 @@
 
 use streamlin_benchmarks as benchmarks;
 use streamlin_core::combine::{analyze_graph, replace, ReplaceOptions};
-use streamlin_runtime::measure::{first_mismatch, profile};
-use streamlin_runtime::MatMulStrategy;
+use streamlin_runtime::{first_mismatch, run, RunSpec};
 
 #[test]
 fn all_benchmarks_all_configs_agree_with_baseline() {
     for b in benchmarks::all_default() {
         let n = (b.default_outputs() / 4).max(64);
         let analysis = analyze_graph(b.graph());
-        let baseline = profile(
+        let baseline = run(
             &replace(b.graph(), &analysis, &ReplaceOptions::per_filter()),
-            n,
-            MatMulStrategy::Unrolled,
+            &RunSpec::new(n),
+            None,
+            None,
         )
         .unwrap_or_else(|e| panic!("{} baseline: {e}", b.name()));
 
@@ -22,10 +22,11 @@ fn all_benchmarks_all_configs_agree_with_baseline() {
             ("linear", ReplaceOptions::maximal_linear()),
             ("freq", ReplaceOptions::maximal_freq()),
         ] {
-            let prof = profile(
+            let prof = run(
                 &replace(b.graph(), &analysis, &opts),
-                n,
-                MatMulStrategy::Unrolled,
+                &RunSpec::new(n),
+                None,
+                None,
             )
             .unwrap_or_else(|e| panic!("{} {label}: {e}", b.name()));
             if let Some(i) = first_mismatch(&baseline.outputs, &prof.outputs, 1e-5, 1e-5) {

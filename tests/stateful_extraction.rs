@@ -7,8 +7,7 @@ use streamlin::core::OptStream;
 use streamlin::graph::elaborate::{elaborate, elaborate_named};
 use streamlin::graph::ir::Stream;
 use streamlin::lang::parse;
-use streamlin::runtime::measure::profile;
-use streamlin::runtime::MatMulStrategy;
+use streamlin::runtime::{run, RunSpec};
 use streamlin::support::OpCounter;
 
 /// Runs `filter_src` (a float->float filter named F) both ways: through
@@ -23,7 +22,7 @@ fn assert_interp_matches_state_space(filter_src: &str, n: usize) {
     );
     let program = parse(&program_src).unwrap();
     let graph = elaborate(&program).unwrap();
-    let interp = profile(&OptStream::from_graph(&graph), n, MatMulStrategy::Unrolled).unwrap();
+    let interp = run(&OptStream::from_graph(&graph), &RunSpec::new(n), None, None).unwrap();
 
     let Stream::Filter(f) = elaborate_named(&program, "F", &[]).unwrap() else {
         panic!("F is not a filter");

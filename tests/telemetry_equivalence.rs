@@ -1,7 +1,7 @@
 //! The zero-cost telemetry contract: instrumenting a run with a
 //! [`Recorder`] probe must not change what the run computes. For every
 //! benchmark program, every execution mode, pipeline budget and fission
-//! width, `profile_recorded` (probe on) must produce printed output
+//! width, a recorded `run` (probe on) must produce printed output
 //! **bit-identical** to the NoProbe-monomorphized engines (probe off),
 //! with identical operation tallies and firing counts — the probe
 //! observes the run, it never participates in it.
@@ -17,9 +17,9 @@ use streamlin::core::cost::CostModel;
 use streamlin::core::select::{select, SelectOptions};
 use streamlin::core::OptStream;
 use streamlin::runtime::fission::Fission;
-use streamlin::runtime::measure::{profile_fission, profile_mode, profile_recorded};
 use streamlin::runtime::telemetry::validate_trace;
-use streamlin::runtime::{ExecMode, Scheduler};
+use streamlin::runtime::{run, RunSpec};
+use streamlin::runtime::{ExecMode, Scheduler, Tier};
 use streamlin::support::Recorder;
 
 fn configs(bench: &streamlin::benchmarks::Benchmark) -> Vec<(&'static str, OptStream)> {
@@ -87,21 +87,32 @@ fn check(bench: &streamlin::benchmarks::Benchmark, outputs: usize) {
     for (label, opt) in configs(bench) {
         for mode in [ExecMode::Measured, ExecMode::Fast] {
             let strategy = mode.default_strategy();
-            // The classic engines: threads = None routes profile_recorded
-            // through the same plan/dynamic executors as profile_mode.
+            // The classic engines: threads = None routes the recorded run
+            // through the same plan/dynamic executors as the unrecorded one.
             for sched in [Scheduler::Auto, Scheduler::Dynamic] {
-                let reference = profile_mode(&opt, outputs, strategy, sched, mode)
-                    .unwrap_or_else(|e| panic!("{} {label}: {e}", bench.name()));
-                let mut rec = Recorder::new();
-                let probed = profile_recorded(
+                let reference = run(
                     &opt,
-                    outputs,
-                    strategy,
-                    sched,
-                    mode,
+                    &RunSpec {
+                        matmul: Some(strategy),
+                        sched,
+                        mode,
+                        ..RunSpec::new(outputs)
+                    },
                     None,
-                    Fission::Off,
-                    &mut rec,
+                    None,
+                )
+                .unwrap_or_else(|e| panic!("{} {label}: {e}", bench.name()));
+                let mut rec = Recorder::new();
+                let probed = run(
+                    &opt,
+                    &RunSpec {
+                        matmul: Some(strategy),
+                        sched,
+                        mode,
+                        ..RunSpec::new(outputs)
+                    },
+                    Some(&mut rec),
+                    None,
                 )
                 .unwrap_or_else(|e| panic!("{} {label} probed: {e}", bench.name()));
                 let what = format!("{} {}", sched.label(), mode.label());
@@ -110,26 +121,31 @@ fn check(bench: &streamlin::benchmarks::Benchmark, outputs: usize) {
             // The pipeline executor across stage budgets and fission widths.
             for threads in [1usize, 2] {
                 for fission in [Fission::Off, Fission::Width(2)] {
-                    let reference = profile_fission(
+                    let reference = run(
                         &opt,
-                        outputs,
-                        strategy,
-                        Scheduler::Auto,
-                        mode,
-                        threads,
-                        fission,
+                        &RunSpec {
+                            matmul: Some(strategy),
+                            mode,
+                            threads: Some(threads),
+                            fission,
+                            ..RunSpec::new(outputs)
+                        },
+                        None,
+                        None,
                     )
                     .unwrap_or_else(|e| panic!("{} {label}: {e}", bench.name()));
                     let mut rec = Recorder::new();
-                    let probed = profile_recorded(
+                    let probed = run(
                         &opt,
-                        outputs,
-                        strategy,
-                        Scheduler::Auto,
-                        mode,
-                        Some(threads),
-                        fission,
-                        &mut rec,
+                        &RunSpec {
+                            matmul: Some(strategy),
+                            mode,
+                            threads: Some(threads),
+                            fission,
+                            ..RunSpec::new(outputs)
+                        },
+                        Some(&mut rec),
+                        None,
                     )
                     .unwrap_or_else(|e| panic!("{} {label} probed: {e}", bench.name()));
                     let what = format!("{} t{threads} fiss={:?}", mode.label(), probed.fission);
@@ -200,15 +216,16 @@ fn recorded_trace_has_viewer_shape_and_consistent_totals() {
     let bench = streamlin::benchmarks::fir(64);
     let opt = configs(&bench).pop().unwrap().1;
     let mut rec = Recorder::new();
-    let prof = profile_recorded(
+    let prof = run(
         &opt,
-        512,
-        ExecMode::Fast.default_strategy(),
-        Scheduler::Auto,
-        ExecMode::Fast,
-        Some(2),
-        Fission::Width(2),
-        &mut rec,
+        &RunSpec {
+            mode: ExecMode::Fast,
+            threads: Some(2),
+            fission: Fission::Width(2),
+            ..RunSpec::new(512)
+        },
+        Some(&mut rec),
+        None,
     )
     .expect("instrumented pipeline run");
 
@@ -256,18 +273,56 @@ fn single_threaded_trace_validates_too() {
     let bench = streamlin::benchmarks::rate_convert();
     let opt = configs(&bench).remove(0).1;
     let mut rec = Recorder::new();
-    profile_recorded(
-        &opt,
-        256,
-        ExecMode::Measured.default_strategy(),
-        Scheduler::Auto,
-        ExecMode::Measured,
-        None,
-        Fission::Off,
-        &mut rec,
-    )
-    .expect("instrumented classic run");
+    run(&opt, &RunSpec::new(256), Some(&mut rec), None).expect("instrumented classic run");
     let shape = validate_trace(&rec.chrome_trace()).expect("valid trace");
     assert!(shape.spans > 0);
     assert!(shape.named_lanes >= 1, "the engine lane is named");
+}
+
+/// The interpreter tier is per run, not per process: the default tier
+/// and the tree-walking reference run at the same time on two threads,
+/// each run's `tier` note names its own tier, and both print the same
+/// bits with the same tallies.
+#[test]
+fn concurrent_runs_keep_their_own_tier() {
+    // Stream graphs are single-threaded (`Rc`), so each thread
+    // elaborates its own copy of the program.
+    let run_tier = |tier: Tier| {
+        let opt = OptStream::from_graph(streamlin::benchmarks::fm_radio().graph());
+        (0..4)
+            .map(|_| {
+                let mut rec = Recorder::new();
+                let spec = RunSpec {
+                    tier,
+                    ..RunSpec::new(128)
+                };
+                let prof = run(&opt, &spec, Some(&mut rec), None).expect("interpreted run");
+                let notes: Vec<String> = rec
+                    .notes
+                    .iter()
+                    .filter(|(k, _)| *k == "tier")
+                    .map(|(_, v)| v.clone())
+                    .collect();
+                assert_eq!(notes, [tier.label()], "each run notes its own tier");
+                prof
+            })
+            .collect::<Vec<_>>()
+    };
+    let tree_walker = Tier {
+        bytecode: false,
+        cert_elision: false,
+    };
+    assert!(tree_walker.label().starts_with("tree-walker"));
+    let (default, reference) = std::thread::scope(|s| {
+        let default = s.spawn(|| run_tier(Tier::default()));
+        let reference = s.spawn(|| run_tier(tree_walker));
+        (default.join().unwrap(), reference.join().unwrap())
+    });
+    for (d, r) in default.iter().zip(&reference) {
+        let bits = |p: &streamlin::runtime::Profile| {
+            p.outputs.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(d), bits(r));
+        assert_eq!(d.ops, r.ops);
+    }
 }

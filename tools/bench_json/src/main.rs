@@ -23,9 +23,7 @@ use std::time::{Duration, Instant};
 use streamlin_bench::{configure, Config};
 use streamlin_benchmarks::Benchmark;
 use streamlin_runtime::fission::Fission;
-use streamlin_runtime::measure::{
-    profile_fission, profile_mode, profile_recorded, ExecMode, Scheduler,
-};
+use streamlin_runtime::{run, ExecMode, RunSpec, Scheduler, Tier};
 use streamlin_service::{Service, ServiceOpts};
 use streamlin_support::json::{self, Json};
 use streamlin_support::Recorder;
@@ -96,9 +94,17 @@ fn measure(
     outputs: usize,
     threads: usize,
     fission: Fission,
+    tier: Tier,
 ) -> Row {
     let opt = configure(bench, config);
     let strategy = mode.default_strategy();
+    let spec = RunSpec {
+        mode,
+        threads: (threads > 1).then_some(threads),
+        fission,
+        tier,
+        ..RunSpec::new(outputs)
+    };
     let mut best = 0.0f64;
     let mut spent = Duration::ZERO;
     let mut sched_ran = Scheduler::Auto;
@@ -106,20 +112,8 @@ fn measure(
     let mut fission_ran = 1;
     // One warmup run, then sample until the budget is spent.
     for warmup in [true, false, false, false, false, false, false, false] {
-        let prof = if threads > 1 || fission != Fission::Off {
-            profile_fission(
-                &opt,
-                outputs,
-                strategy,
-                Scheduler::Auto,
-                mode,
-                threads,
-                fission,
-            )
-        } else {
-            profile_mode(&opt, outputs, strategy, Scheduler::Auto, mode)
-        }
-        .unwrap_or_else(|e| panic!("{} [{}]: {e}", bench.name(), config.label()));
+        let prof = run(&opt, &spec, None, None)
+            .unwrap_or_else(|e| panic!("{} [{}]: {e}", bench.name(), config.label()));
         sched_ran = prof.sched;
         threads_ran = prof.threads;
         fission_ran = prof.fission;
@@ -137,21 +131,7 @@ fn measure(
     // samples above ran NoProbe; the recorder's own overhead therefore
     // never touches `items_per_sec`.
     let mut rec = Recorder::new();
-    let pipeline_threads = if threads > 1 || fission != Fission::Off {
-        Some(threads)
-    } else {
-        None
-    };
-    let (stall_pct, compile_ms) = match profile_recorded(
-        &opt,
-        outputs,
-        strategy,
-        Scheduler::Auto,
-        mode,
-        pipeline_threads,
-        fission,
-        &mut rec,
-    ) {
+    let (stall_pct, compile_ms) = match run(&opt, &spec, Some(&mut rec), None) {
         Ok(_) => (rec.stall_fraction() * 100.0, rec.compile_ns() as f64 / 1e6),
         Err(_) => (0.0, 0.0),
     };
@@ -315,7 +295,15 @@ fn main() {
         for &config in configs {
             let mut pair = Vec::new();
             for mode in [ExecMode::Measured, ExecMode::Fast] {
-                let mut row = measure(bench, config, mode, outputs, 1, Fission::Off);
+                let mut row = measure(
+                    bench,
+                    config,
+                    mode,
+                    outputs,
+                    1,
+                    Fission::Off,
+                    Tier::default(),
+                );
                 row.benchmark = label.to_string();
                 eprintln!(
                     "{:>12} {:>9} {:>8} {:>8} t1: {:>12.0} items/sec",
@@ -340,9 +328,11 @@ fn main() {
             // functions on the hot path, so only it gets the ablation.
             if matches!(config, Config::Interp) {
                 for (i, mode) in [ExecMode::Measured, ExecMode::Fast].into_iter().enumerate() {
-                    streamlin_runtime::set_cert_elision(false);
-                    let mut row = measure(bench, config, mode, outputs, 1, Fission::Off);
-                    streamlin_runtime::set_cert_elision(true);
+                    let tier = Tier {
+                        cert_elision: false,
+                        ..Tier::default()
+                    };
+                    let mut row = measure(bench, config, mode, outputs, 1, Fission::Off, tier);
                     row.benchmark = label.to_string();
                     row.config = "interp-nocert";
                     eprintln!(
@@ -362,9 +352,11 @@ fn main() {
                 // records the dispatch-loop win alongside the
                 // `interp-nocert` checked-access rows.
                 for (i, mode) in [ExecMode::Measured, ExecMode::Fast].into_iter().enumerate() {
-                    streamlin_runtime::set_bytecode_tier(false);
-                    let mut row = measure(bench, config, mode, outputs, 1, Fission::Off);
-                    streamlin_runtime::set_bytecode_tier(true);
+                    let tier = Tier {
+                        bytecode: false,
+                        ..Tier::default()
+                    };
+                    let mut row = measure(bench, config, mode, outputs, 1, Fission::Off, tier);
                     row.benchmark = label.to_string();
                     row.config = "interp-nobytecode";
                     eprintln!(
@@ -391,6 +383,7 @@ fn main() {
                     outputs,
                     threads,
                     Fission::Off,
+                    Tier::default(),
                 );
                 row.benchmark = label.to_string();
                 eprintln!(
@@ -417,6 +410,7 @@ fn main() {
                     outputs,
                     4,
                     Fission::Width(width),
+                    Tier::default(),
                 );
                 row.benchmark = label.to_string();
                 eprintln!(

@@ -7,8 +7,8 @@
 //!
 //! * the [`proptest!`] macro (with optional `#![proptest_config(..)]`),
 //! * [`prop_assert!`], [`prop_assert_eq!`], [`prop_assume!`], [`prop_oneof!`],
-//! * the [`Strategy`] trait with `prop_map` / `prop_flat_map`,
-//! * strategies for integer/float ranges, tuples, [`Just`], booleans,
+//! * the [`strategy::Strategy`] trait with `prop_map` / `prop_flat_map`,
+//! * strategies for integer/float ranges, tuples, [`strategy::Just`], booleans,
 //!   [`collection::vec`], and a permissive `&str` "regex" strategy that
 //!   produces arbitrary unicode text.
 //!
