@@ -90,6 +90,9 @@ struct EngineState<T> {
 pub struct Engine<T: Tally = OpCounter> {
     nodes: Vec<FlatNode>,
     state: EngineState<T>,
+    /// Values handed over by [`Self::take_printed`]: `printed` holds
+    /// the output stream from this absolute position on.
+    drained: usize,
 }
 
 impl<T: Tally + Default> Engine<T> {
@@ -122,14 +125,25 @@ impl<T: Tally + Default> Engine<T> {
                 ops: T::default(),
                 firings: 0,
             },
+            drained: 0,
         }
     }
 }
 
 impl<T: Tally> Engine<T> {
-    /// Values printed so far (the program's output stream).
+    /// Values printed so far and not yet drained: the program's whole
+    /// output stream for an engine nobody drains.
     pub fn printed(&self) -> &[f64] {
         &self.state.printed
+    }
+
+    /// Hands over the first `n` retained values (`n` at most
+    /// [`Self::printed`]'s length) and keeps only the rest, the
+    /// overshoot. Output targets stay absolute.
+    pub(crate) fn take_printed(&mut self, n: usize) -> Vec<f64> {
+        self.drained += n;
+        let rest = self.state.printed.split_off(n);
+        std::mem::replace(&mut self.state.printed, rest)
     }
 
     /// The tally so far (use [`Tally::counts`] for the numbers; a
@@ -162,6 +176,8 @@ impl<T: Tally> Engine<T> {
     ///
     /// As [`Self::run_until_outputs`].
     pub fn run_probed<P: Probe>(&mut self, n: usize, probe: &mut P) -> Result<(), RunError> {
+        // The buffer holds the stream from `drained` on.
+        let n = n.saturating_sub(self.drained);
         while self.state.printed.len() < n {
             let mut fired = false;
             for i in 0..self.nodes.len() {

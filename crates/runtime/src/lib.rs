@@ -65,8 +65,10 @@
 //! mode, matmul strategy, threads, fission, quantum, watchdog, fallback,
 //! interpreter [`Tier`], output count). [`compile`] turns an optimized
 //! stream into an [`measure::Artifact`], [`open_session`] instantiates a
-//! resident [`session::StreamExec`] from it, and [`run`] is the two
-//! composed with one read — the one-shot profile.
+//! resident [`session::StreamExec`] from it, and [`run_streaming`] is
+//! the two composed into a loop of [`CHUNK`]-value reads, each handed to
+//! a caller's sink as soon as it exists; [`run`] collects the chunks
+//! into the one-shot profile.
 //!
 //! Everything above is additionally generic over a telemetry
 //! [`streamlin_support::Probe`] on the same zero-cost pattern as the
@@ -116,8 +118,8 @@ pub use fission::{fiss_bottleneck, fissability, Fission, FissionInfo};
 pub use flat::Tier;
 pub use linear_exec::MatMulStrategy;
 pub use measure::{
-    compile, first_mismatch, profile_supervised, run, Artifact, ExecMode, Profile, ProfileError,
-    RunSpec, Scheduler, Supervision,
+    compile, first_mismatch, profile_supervised, run, run_streaming, Artifact, ExecMode, Profile,
+    ProfileError, RunSpec, Scheduler, Supervision,
 };
 pub use parallel::{
     parse_quantum, resolve_quantum, resolve_quantum_checked, run_pipeline_quantized,
@@ -125,5 +127,5 @@ pub use parallel::{
 };
 pub use partition::{partition, Partition};
 pub use plan::{ExecPlan, PlanEngine, PlanError};
-pub use session::{open_session, CloseReport, Instruments, ReadOut, StreamExec};
+pub use session::{open_session, CloseReport, Instruments, ReadOut, StreamExec, CHUNK};
 pub use telemetry::{validate_trace, TraceShape};

@@ -1,17 +1,22 @@
 //! The run API: one [`RunSpec`] through one compile path ([`compile`])
-//! and one session path ([`crate::session::open_session`]); [`run`] is
-//! the one-shot composition of the two.
+//! and one session path ([`crate::session::open_session`]);
+//! [`run_streaming`] is the one-shot composition of the two, handing
+//! each chunk of output to a caller's sink as soon as it exists, and
+//! [`run`] collects those chunks.
 //!
 //! Mirrors the paper's measurement methodology (§5.1): programs run for a
 //! fixed number of outputs; floating-point operations and multiplications
 //! are counted over the whole run and normalized per output, and wall-clock
 //! time is recorded alongside.
 
+use std::io;
 use std::time::{Duration, Instant};
 
 use streamlin_core::cost::CostModel;
 use streamlin_core::opt::OptStream;
-use streamlin_support::{FaultPlan, InjectFaults, NoFault, NoProbe, OpCounter, Probe, Recorder};
+use streamlin_support::{
+    FaultPlan, InjectFaults, NoFault, NoProbe, OpCounter, Probe, Recorder, SINK_PHASE,
+};
 
 use crate::engine::RunError;
 use crate::fission::{self, Fission};
@@ -20,7 +25,7 @@ use crate::linear_exec::MatMulStrategy;
 use crate::parallel::resolve_quantum;
 use crate::partition::{partition, Partition};
 use crate::plan::{self, ExecPlan, PlanError};
-use crate::session::{open_graphs, Instruments};
+use crate::session::{open_graphs, Instruments, CHUNK};
 
 /// Which scheduler executes the flattened graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -91,11 +96,15 @@ impl ExecMode {
 pub struct Profile {
     /// The captured program output (printed values), in order — truncated
     /// to exactly the requested count so different schedulers (which may
-    /// overshoot by different amounts) are directly comparable.
+    /// overshoot by different amounts) are directly comparable. Empty
+    /// after [`run_streaming`], whose sink received the values.
     pub outputs: Vec<f64>,
+    /// Values the run produced (its sink received exactly these).
+    pub delivered: usize,
     /// Operation counts over the whole run.
     pub ops: OpCounter,
-    /// Wall-clock time of the run.
+    /// Wall-clock time of the run's session (open, reads, close),
+    /// excluding the time its sink took.
     pub wall: Duration,
     /// Total node firings.
     pub firings: u64,
@@ -124,18 +133,18 @@ pub struct Profile {
 impl Profile {
     /// Floating-point operations per program output.
     pub fn flops_per_output(&self) -> f64 {
-        self.ops.flops() as f64 / self.outputs.len().max(1) as f64
+        self.ops.flops() as f64 / self.delivered.max(1) as f64
     }
 
     /// Multiplications (incl. divisions, per the paper's convention) per
     /// program output.
     pub fn mults_per_output(&self) -> f64 {
-        self.ops.mults() as f64 / self.outputs.len().max(1) as f64
+        self.ops.mults() as f64 / self.delivered.max(1) as f64
     }
 
     /// Nanoseconds per program output.
     pub fn nanos_per_output(&self) -> f64 {
-        self.wall.as_nanos() as f64 / self.outputs.len().max(1) as f64
+        self.wall.as_nanos() as f64 / self.delivered.max(1) as f64
     }
 }
 
@@ -149,6 +158,14 @@ pub enum ProfileError {
     /// A static plan was required ([`Scheduler::Static`]) but the graph
     /// has none.
     Plan(PlanError),
+    /// The sink of a [`run_streaming`] failed (a closed pipe is
+    /// [`io::ErrorKind::BrokenPipe`]); the run stopped there.
+    Sink {
+        /// The I/O error's kind.
+        kind: io::ErrorKind,
+        /// The I/O error's message.
+        detail: String,
+    },
 }
 
 impl std::fmt::Display for ProfileError {
@@ -157,6 +174,7 @@ impl std::fmt::Display for ProfileError {
             ProfileError::Flatten(e) => write!(f, "{e}"),
             ProfileError::Run(e) => write!(f, "{e}"),
             ProfileError::Plan(e) => write!(f, "no static schedule: {e}"),
+            ProfileError::Sink { detail, .. } => write!(f, "cannot write output: {detail}"),
         }
     }
 }
@@ -172,6 +190,15 @@ impl From<FlattenError> for ProfileError {
 impl From<RunError> for ProfileError {
     fn from(e: RunError) -> Self {
         ProfileError::Run(e)
+    }
+}
+
+impl From<io::Error> for ProfileError {
+    fn from(e: io::Error) -> Self {
+        ProfileError::Sink {
+            kind: e.kind(),
+            detail: e.to_string(),
+        }
     }
 }
 
@@ -394,32 +421,65 @@ pub fn compile<P: Probe>(
 }
 
 /// Runs an optimized stream until it produces `spec.outputs` values and
-/// returns the measurements: [`compile`], then
-/// [`crate::session::open_session`], one read, and close. Outputs are
-/// bit-identical for every scheduler, mode, thread count, fission width
-/// and tier; tallies and firing counts are identical across thread
-/// counts and fission widths.
-///
-/// `rec` collects compile phases, firing batches, stalls, ring
-/// occupancy and the run's decision notes (which `streamlinc` prints
-/// under `--emit-graph`); `fault` arms the deterministic injection sites
-/// of the pipeline executor, the worker pool and the fission pass (see
-/// [`streamlin_support::fault`]). Single-threaded runs execute unfaulted.
+/// returns them with the measurements: [`run_streaming`] into one
+/// vector. Outputs are bit-identical for every scheduler, mode, thread
+/// count, fission width and tier; tallies and firing counts are
+/// identical across thread counts and fission widths.
 ///
 /// # Errors
 ///
-/// As [`compile`], plus execution errors; with fallback off,
-/// [`RunError::Stalled`]/[`RunError::WorkerLost`] from the supervisor.
+/// As [`run_streaming`] (the collecting sink never fails).
 pub fn run(
+    opt: &OptStream,
+    spec: &RunSpec,
+    rec: Option<&mut Recorder>,
+    fault: Option<&InjectFaults>,
+) -> Result<Profile, ProfileError> {
+    let mut outputs = Vec::new();
+    let mut prof = run_streaming(opt, spec, rec, fault, &mut |chunk| {
+        outputs.extend_from_slice(chunk);
+        Ok(())
+    })?;
+    prof.outputs = outputs;
+    Ok(prof)
+}
+
+/// Runs an optimized stream for `spec.outputs` values, handing them to
+/// `sink` in order, [`CHUNK`] at a time, as soon as each chunk exists:
+/// [`compile`], then [`crate::session::open_session`] (moving the
+/// artifact's graphs in uncopied), chunked reads, and close. Neither the
+/// run nor its session keeps a value once the sink has it, so memory
+/// stays flat however long the stream. The returned profile's `outputs`
+/// is empty; its `wall` leaves out the time spent in `sink`.
+///
+/// `rec` collects compile phases, firing batches, stalls, ring
+/// occupancy, the run's decision notes (which `streamlinc` prints under
+/// `--emit-graph`) and one [`SINK_PHASE`] span per chunk; `fault` arms the
+/// deterministic injection sites of the pipeline executor, the worker
+/// pool and the fission pass (see [`streamlin_support::fault`]).
+/// Single-threaded runs execute unfaulted.
+///
+/// # Errors
+///
+/// As [`compile`], plus execution errors (with fallback off,
+/// [`RunError::Stalled`]/[`RunError::WorkerLost`] from the supervisor)
+/// and [`ProfileError::Sink`] when `sink` fails. Either stops the run
+/// after the chunks already handed over; the session is closed and the
+/// recorder filled in all the same.
+pub fn run_streaming(
     opt: &OptStream,
     spec: &RunSpec,
     mut rec: Option<&mut Recorder>,
     fault: Option<&InjectFaults>,
+    sink: &mut dyn FnMut(&[f64]) -> io::Result<()>,
 ) -> Result<Profile, ProfileError> {
     let mut art = match rec.as_deref_mut() {
         Some(r) => compile(opt, spec, r, fault)?,
         None => compile(opt, spec, &mut NoProbe, fault)?,
     };
+    // Sink phases go to a fork (same epoch) while the session owns the
+    // recorder, and are absorbed back after close.
+    let mut sink_rec = rec.as_deref().map(|r| r.fork(0));
     let instruments = Instruments {
         rec: rec.as_deref_mut().map(std::mem::take),
         fault: fault.map(InjectFaults::fork),
@@ -435,16 +495,35 @@ pub fn run(
     let graphs = (std::mem::take(&mut art.flat), art.canonical.take());
     let mut exec = open_graphs(&art, graphs, spec, instruments)?;
     drop(art);
-    let read = exec.read(spec.outputs);
+    let mut sink_time = Duration::ZERO;
+    let mut streamed = Ok(());
+    while streamed.is_ok() && exec.delivered() < spec.outputs {
+        let n = CHUNK.min(spec.outputs - exec.delivered());
+        streamed = match exec.read(n) {
+            Ok(out) => {
+                let (t, t0) = (Instant::now(), sink_rec.as_ref().map_or(0, |r| r.now()));
+                let written = sink(&out.values).map_err(ProfileError::from);
+                sink_time += t.elapsed();
+                if let Some(r) = sink_rec.as_mut() {
+                    r.phase(SINK_PHASE, t0);
+                }
+                written
+            }
+            Err(e) => Err(e.into()),
+        };
+    }
     let report = exec.close();
+    let wall = start.elapsed().saturating_sub(sink_time);
     if let (Some(slot), Some(r)) = (rec, report.probe) {
         *slot = r;
+        slot.absorb(sink_rec.expect("forked from the same recorder"));
     }
-    let outputs = read?.values;
+    streamed?;
     let degraded = report.degraded;
     Ok(Profile {
-        wall: start.elapsed(),
-        outputs,
+        wall,
+        outputs: Vec::new(),
+        delivered: report.delivered,
         ops: report.ops,
         firings: report.firings,
         sched,

@@ -681,8 +681,12 @@ pub struct PlanEngine<T: Tally = OpCounter> {
     cursor: usize,
     /// Firings of `steady[cursor]` already executed.
     partial: u32,
-    /// Output count when the cursor last wrapped (progress detection).
+    /// Absolute output count when the cursor last wrapped (progress
+    /// detection).
     printed_at_wrap: usize,
+    /// Values handed over by [`Self::take_printed`]: `printed` holds
+    /// the output stream from this absolute position on.
+    drained: usize,
 }
 
 impl<T: Tally + Default> PlanEngine<T> {
@@ -703,6 +707,7 @@ impl<T: Tally + Default> PlanEngine<T> {
             cursor: 0,
             partial: 0,
             printed_at_wrap: 0,
+            drained: 0,
         }
     }
 }
@@ -713,9 +718,24 @@ impl<T: Tally> PlanEngine<T> {
         &self.plan
     }
 
-    /// Values printed so far (the program's output stream).
+    /// Values printed so far and not yet drained: the program's whole
+    /// output stream for an engine nobody drains.
     pub fn printed(&self) -> &[f64] {
         &self.state.printed
+    }
+
+    /// Hands over the first `n` retained values (`n` at most
+    /// [`Self::printed`]'s length) and keeps only the rest, the
+    /// overshoot. Output targets stay absolute.
+    pub(crate) fn take_printed(&mut self, n: usize) -> Vec<f64> {
+        self.drained += n;
+        let rest = self.state.printed.split_off(n);
+        std::mem::replace(&mut self.state.printed, rest)
+    }
+
+    /// Values printed over the engine's lifetime, drained or not.
+    fn total_printed(&self) -> usize {
+        self.drained + self.state.printed.len()
     }
 
     /// The tally so far (use [`Tally::counts`] for the numbers; a
@@ -775,14 +795,22 @@ impl<T: Tally> PlanEngine<T> {
                     probe.batch(1, step.node, step.times, t0);
                 }
             }
-            self.printed_at_wrap = self.state.printed.len();
+            self.printed_at_wrap = self.total_printed();
         }
+        // The buffer holds the stream from `drained` on, so the absolute
+        // target `n` is `stop_at` values into it.
+        let stop_at = n.saturating_sub(self.drained);
         let mut silent_cycles = 0u32;
-        while self.state.printed.len() < n {
+        while self.state.printed.len() < stop_at {
             let step = self.plan.steady[self.cursor];
             let remaining = step.times - self.partial;
             let t0 = probe.now();
-            let done = exec_batch(&mut self.nodes[step.node], remaining, &mut self.state, n)?;
+            let done = exec_batch(
+                &mut self.nodes[step.node],
+                remaining,
+                &mut self.state,
+                stop_at,
+            )?;
             if P::ENABLED {
                 probe.batch(1, step.node, done, t0);
                 let ts = probe.now();
@@ -798,7 +826,7 @@ impl<T: Tally> PlanEngine<T> {
                 self.cursor += 1;
                 if self.cursor == self.plan.steady.len() {
                     self.cursor = 0;
-                    if self.state.printed.len() == self.printed_at_wrap {
+                    if self.total_printed() == self.printed_at_wrap {
                         silent_cycles += 1;
                         if silent_cycles >= Self::MAX_SILENT_CYCLES {
                             return Err(RunError::Deadlock {
@@ -810,7 +838,7 @@ impl<T: Tally> PlanEngine<T> {
                         }
                     } else {
                         silent_cycles = 0;
-                        self.printed_at_wrap = self.state.printed.len();
+                        self.printed_at_wrap = self.total_printed();
                     }
                 }
             }

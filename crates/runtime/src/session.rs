@@ -22,11 +22,17 @@
 //! A stream's value sequence is a deterministic prefix of the program's
 //! output, independent of read batching and of neighbor sessions.
 //!
+//! A session keeps no copy of what it delivered: every backend hands
+//! a read's values over and retains only the overshoot past the read
+//! goal (the rest of a firing, or of a pipeline quantum).
+//!
 //! **Degradation** is per session: a degradable failure
 //! ([`RunError::is_degradable`] — a stall or a lost worker) tears down
 //! the pipeline, rebuilds the canonical single-threaded plan engine from
 //! the artifact's pre-fission pair, fast-forwards it past the values
-//! already delivered, and keeps serving. This is the only replay path.
+//! already delivered ([`CHUNK`] values at a time, dropping each; the
+//! count lands in a `replay` recorder note), and keeps serving. This is
+//! the only replay path.
 
 use streamlin_support::{
     InjectFaults, NoCount, NoFault, NoProbe, OpCounter, Probe, Recorder, Tally,
@@ -37,6 +43,11 @@ use crate::flat::{FlatGraph, Tier};
 use crate::measure::{Artifact, ExecMode, RunSpec};
 use crate::parallel::PipelineSession;
 use crate::plan::{ExecPlan, PlanEngine};
+
+/// Values a one-shot [`crate::measure::run_streaming`] reads per session
+/// read, and the step of a degraded session's fast-forward: the bound
+/// on the values either holds at once.
+pub const CHUNK: usize = 8192;
 
 /// The instruments a session carries: a [`Recorder`] for telemetry and a
 /// fault plan for drills (neither: the production engines).
@@ -120,12 +131,20 @@ pub(crate) fn open_graphs(
 ) -> Result<Box<dyn StreamExec>, RunError> {
     let graphs = with_tier(graphs, spec.tier);
     let Instruments { rec, fault } = instruments;
-    match (spec.mode, rec) {
-        (ExecMode::Measured, None) => open_with::<OpCounter, _>(art, graphs, spec, NoProbe, fault),
-        (ExecMode::Measured, Some(r)) => open_with::<OpCounter, _>(art, graphs, spec, r, fault),
-        (ExecMode::Fast, None) => open_with::<NoCount, _>(art, graphs, spec, NoProbe, fault),
-        (ExecMode::Fast, Some(r)) => open_with::<NoCount, _>(art, graphs, spec, r, fault),
-    }
+    Ok(match (spec.mode, rec) {
+        (ExecMode::Measured, None) => Box::new(open_with::<OpCounter, _>(
+            art, graphs, spec, NoProbe, fault,
+        )?),
+        (ExecMode::Measured, Some(r)) => {
+            Box::new(open_with::<OpCounter, _>(art, graphs, spec, r, fault)?)
+        }
+        (ExecMode::Fast, None) => {
+            Box::new(open_with::<NoCount, _>(art, graphs, spec, NoProbe, fault)?)
+        }
+        (ExecMode::Fast, Some(r)) => {
+            Box::new(open_with::<NoCount, _>(art, graphs, spec, r, fault)?)
+        }
+    })
 }
 
 /// A probe that can hand its telemetry back at close.
@@ -151,7 +170,7 @@ fn open_with<T, P>(
     spec: &RunSpec,
     mut probe: P,
     fault: Option<InjectFaults>,
-) -> Result<Box<dyn StreamExec>, RunError>
+) -> Result<Session<T, P>, RunError>
 where
     T: Tally + Default + Send + 'static,
     P: ProbeReport,
@@ -194,13 +213,13 @@ where
             Backend::Dyn(Engine::new(flat))
         }
     };
-    Ok(Box::new(Session::<T, P> {
+    Ok(Session {
         backend,
         probe,
         canonical,
         handed: 0,
         degraded,
-    }))
+    })
 }
 
 /// Applies `tier` to a session's graphs (the artifact they were taken
@@ -262,7 +281,27 @@ impl<T: Tally + Default + Send + 'static, P: ProbeReport> Session<T, P> {
             let _ = dead.finish(&mut self.probe);
         }
         if let Backend::Plan(engine) = &mut self.backend {
-            engine.run_probed(self.handed, &mut self.probe)?;
+            // Fast-forward past what the caller already holds, one chunk
+            // at a time, so the replay never holds more than a chunk.
+            let t0 = self.probe.now();
+            let mut skipped = 0;
+            while skipped < self.handed {
+                let n = CHUNK.min(self.handed - skipped);
+                engine.run_probed(skipped + n, &mut self.probe)?;
+                drop(engine.take_printed(n));
+                skipped += n;
+            }
+            if P::ENABLED {
+                let ms = self.probe.now().saturating_sub(t0) as f64 / 1e6;
+                let chunks = self.handed.div_ceil(CHUNK);
+                self.probe.note(
+                    "replay",
+                    &format!(
+                        "fast-forwarded {skipped} delivered values in {chunks} chunk(s) \
+                         ({ms:.3} ms)"
+                    ),
+                );
+            }
         }
         self.degraded = Some(cause.to_string());
         Ok(())
@@ -271,7 +310,7 @@ impl<T: Tally + Default + Send + 'static, P: ProbeReport> Session<T, P> {
 
 impl<T: Tally + Default + Send + 'static, P: ProbeReport> StreamExec for Session<T, P> {
     fn read(&mut self, n: usize) -> Result<ReadOut, RunError> {
-        let (start, goal) = (self.handed, self.handed + n);
+        let goal = self.handed + n;
         let mut just_degraded = None;
         if let Backend::Pipe(s) = &mut self.backend {
             match s.read(n) {
@@ -289,14 +328,16 @@ impl<T: Tally + Default + Send + 'static, P: ProbeReport> StreamExec for Session
                 Err(e) => return Err(e),
             }
         }
+        // The engines retain the stream from `handed` on: hand the read's
+        // values over and keep only the overshoot.
         let values = match &mut self.backend {
             Backend::Plan(e) => {
                 e.run_probed(goal, &mut self.probe)?;
-                e.printed()[start..goal].to_vec()
+                e.take_printed(n)
             }
             Backend::Dyn(e) => {
                 e.run_probed(goal, &mut self.probe)?;
-                e.printed()[start..goal].to_vec()
+                e.take_printed(n)
             }
             Backend::Pipe(_) => unreachable!("pipeline reads return above"),
         };
@@ -345,7 +386,7 @@ mod tests {
     use super::*;
     use crate::fission::{FissKernel, FissWorker, Fission};
     use crate::flat::{InterpState, NodeKind};
-    use crate::measure::compile;
+    use crate::measure::{compile, Scheduler};
     use streamlin_core::opt::OptStream;
 
     /// Every interpreter state in a graph, fission duplicates included.
@@ -362,6 +403,115 @@ mod tests {
             }
         }
         states
+    }
+
+    /// A source, a gain and a sink that prints three values per firing,
+    /// so a read goal that is not a multiple of three overshoots.
+    const TRIPLE: &str = "void->void pipeline Main { add S(); add G(); add K(); }
+         void->float filter S { float x; work push 1 { push(sin(x++)); } }
+         float->float filter G { work pop 1 push 1 { push(3 * pop()); } }
+         float->void filter K {
+             work pop 3 { println(pop()); println(pop()); println(pop()); }
+         }";
+
+    fn triple_artifact(spec: &RunSpec) -> Artifact {
+        let g = streamlin_graph::elaborate(&streamlin_lang::parse(TRIPLE).unwrap()).unwrap();
+        compile(&OptStream::from_graph(&g), spec, &mut NoProbe, None).unwrap()
+    }
+
+    /// The undrained reference: the same program's first `n` values.
+    fn reference(n: usize) -> Vec<f64> {
+        let art = triple_artifact(&RunSpec::new(n));
+        let mut e = PlanEngine::<NoCount>::new(art.flat.clone(), art.plan.unwrap());
+        e.run_until_outputs(n).unwrap();
+        e.printed()[..n].to_vec()
+    }
+
+    fn session(art: &Artifact, spec: &RunSpec) -> Session<NoCount, Recorder> {
+        let graphs = (art.flat.clone(), art.canonical.clone());
+        open_with::<NoCount, _>(art, graphs, spec, Recorder::new(), None).unwrap()
+    }
+
+    fn retained(s: &Session<NoCount, Recorder>) -> usize {
+        match &s.backend {
+            Backend::Plan(e) => e.printed().len(),
+            Backend::Dyn(e) => e.printed().len(),
+            Backend::Pipe(_) => panic!("single-threaded session expected"),
+        }
+    }
+
+    fn assert_bits(got: &[f64], want: &[f64]) {
+        assert_eq!(got.len(), want.len());
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "value {i}");
+        }
+    }
+
+    #[test]
+    fn single_threaded_sessions_keep_only_the_overshoot() {
+        let reads = [1000, 1, 7, 2048, 500];
+        let want = reference(reads.iter().sum());
+        for sched in [Scheduler::Static, Scheduler::Dynamic] {
+            let spec = RunSpec {
+                sched,
+                mode: ExecMode::Fast,
+                ..RunSpec::new(0)
+            };
+            let mut s = session(&triple_artifact(&spec), &spec);
+            let mut got = Vec::new();
+            for n in reads {
+                got.extend(s.read(n).unwrap().values);
+                // One firing prints three values: at most two are left
+                // over past the read goal.
+                assert!(retained(&s) < 3, "{sched:?}: {} retained", retained(&s));
+            }
+            assert_eq!(s.delivered(), got.len());
+            assert_bits(&got, &want);
+        }
+    }
+
+    #[test]
+    fn degrading_after_several_chunks_replays_in_chunks_and_continues_bit_identical() {
+        let spec = RunSpec {
+            threads: Some(2),
+            mode: ExecMode::Fast,
+            fallback: true,
+            ..RunSpec::new(0)
+        };
+        let art = triple_artifact(&spec);
+        assert_eq!(art.workers_needed(), 2, "the chain must run as a pipeline");
+        let mut s = session(&art, &spec);
+        let mut got = Vec::new();
+        for _ in 0..3 {
+            got.extend(s.read(CHUNK).unwrap().values);
+        }
+        got.extend(s.read(5).unwrap().values);
+        let handed = 3 * CHUNK + 5;
+        let cause = RunError::Stalled {
+            detail: "drill".into(),
+        };
+        s.degrade(&cause).unwrap();
+        assert!(matches!(s.backend, Backend::Plan(_)));
+        assert!(retained(&s) < 3, "the replay drops what it skips");
+        for n in [CHUNK, 11] {
+            got.extend(s.read(n).unwrap().values);
+        }
+        assert_bits(&got, &reference(handed + CHUNK + 11));
+        let report = Box::new(s).close();
+        assert_eq!(report.delivered, handed + CHUNK + 11);
+        assert!(report.degraded.is_some());
+        let notes = report.probe.expect("instrumented").notes;
+        let replay = notes
+            .iter()
+            .find(|(k, _)| *k == "replay")
+            .map(|(_, v)| v.as_str())
+            .expect("a replay note");
+        assert!(
+            replay.contains(&format!(
+                "fast-forwarded {handed} delivered values in 4 chunk(s)"
+            )),
+            "{replay}"
+        );
     }
 
     #[test]

@@ -28,12 +28,19 @@
 //!
 //! Responses always carry `"ok"`; failures are structured —
 //! `{"ok":false,"error":"saturated","need":2,"in_use":4,"budget":4,...}`
-//! is the admission-control refusal, never a hang.
+//! is the admission-control refusal, never a hang. A `read` of more than
+//! [`MAX_READ`] values is a `bad_request` before any engine work: one
+//! response line holds the whole batch, so an unbounded `n` would
+//! stall the stream and grow without limit.
 
 use streamlin_runtime::fission::Fission;
 use streamlin_runtime::measure::{ExecMode, Scheduler};
 use streamlin_runtime::MatMulStrategy;
 use streamlin_support::json::{self, Json};
+
+/// The most values one `read` request may ask for (8 MiB of samples;
+/// larger batches are a sequence of reads).
+pub const MAX_READ: usize = 1 << 20;
 
 /// A parsed `open` request.
 #[derive(Debug, Clone)]
@@ -142,6 +149,11 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "read" => {
             let id = str_field(&v, "id").ok_or("read: missing \"id\"")?;
             let n = match num_field(&v, "n") {
+                Some(n) if n > MAX_READ as f64 && n.fract() == 0.0 => {
+                    return Err(format!(
+                        "read: \"n\" = {n} exceeds the per-read cap of {MAX_READ} values"
+                    ))
+                }
                 Some(n) if n >= 0.0 && n.fract() == 0.0 => n as usize,
                 _ => return Err("read: missing or bad \"n\"".into()),
             };

@@ -52,5 +52,5 @@ pub mod ratio;
 
 pub use fault::{FaultAction, FaultPlan, InjectFaults, NoFault};
 pub use flops::{CountOps, NoCount, OpCounter, Tally};
-pub use probe::{NoProbe, Probe, Recorder, StallKind};
+pub use probe::{NoProbe, Probe, Recorder, StallKind, SINK_PHASE};
 pub use ratio::Ratio;

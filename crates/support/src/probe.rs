@@ -272,6 +272,12 @@ pub struct NodeStats {
     pub predicted: f64,
 }
 
+/// The phase a one-shot run records around each hand-over of a chunk of
+/// output to its sink (formatting and writing, for `streamlinc`): not a
+/// compile phase, so [`Recorder::compile_ns`] leaves it out and the
+/// summary reports it apart, as sink time against engine time.
+pub const SINK_PHASE: &str = "sink";
+
 /// Raw events kept per run; aggregates are exact regardless. Big enough
 /// for hundreds of steady cycles on every benchmark, small enough that a
 /// runaway trace stays in the tens of megabytes.
@@ -327,16 +333,23 @@ impl Recorder {
         }
     }
 
-    /// Total compile-phase time (every [`Event::Phase`] span), in ns.
-    /// Phases never nest, so the sum is the wall time spent compiling.
+    /// Total compile-phase time (every [`Event::Phase`] span but the
+    /// [`SINK_PHASE`]), in ns. Phases never nest, so the sum is the wall
+    /// time spent compiling.
     pub fn compile_ns(&self) -> u64 {
+        self.phase_spans(|name| name != SINK_PHASE).1
+    }
+
+    /// Count and total duration of the phase spans whose name passes
+    /// `keep`.
+    fn phase_spans(&self, keep: impl Fn(&str) -> bool) -> (usize, u64) {
         self.events
             .iter()
             .filter_map(|e| match e {
-                Event::Phase { dur_ns, .. } => Some(*dur_ns),
+                Event::Phase { name, dur_ns, .. } if keep(name) => Some(*dur_ns),
                 _ => None,
             })
-            .sum()
+            .fold((0, 0), |(n, total), dur| (n + 1, total + dur))
     }
 
     /// Fraction of worker time spent blocked on ring boundaries
@@ -376,9 +389,22 @@ impl Recorder {
         let mut out = String::new();
         let _ = writeln!(out, "== compile phases ==");
         for e in &self.events {
-            if let Event::Phase { name, dur_ns, .. } = e {
-                let _ = writeln!(out, "  {name:<12} {:>9.3} ms", ms(*dur_ns));
+            match e {
+                Event::Phase { name, dur_ns, .. } if *name != SINK_PHASE => {
+                    let _ = writeln!(out, "  {name:<12} {:>9.3} ms", ms(*dur_ns));
+                }
+                _ => {}
             }
+        }
+        let (chunks, sink_ns) = self.phase_spans(|name| name == SINK_PHASE);
+        if chunks > 0 {
+            let _ = writeln!(out, "== sink ==");
+            let _ = writeln!(
+                out,
+                "  {:<12} {:>9.3} ms over {chunks} chunk(s)",
+                SINK_PHASE,
+                ms(sink_ns)
+            );
         }
         let _ = writeln!(out, "== lanes ==");
         let _ = writeln!(
@@ -559,9 +585,14 @@ impl Recorder {
                     start_ns,
                     dur_ns,
                 } => format!(
-                    "{{\"ph\":\"X\",\"name\":{},\"cat\":\"compile\",\"pid\":1,\"tid\":0,\
+                    "{{\"ph\":\"X\",\"name\":{},\"cat\":\"{}\",\"pid\":1,\"tid\":0,\
                      \"ts\":{:.3},\"dur\":{:.3}}}",
                     json_string(name),
+                    if *name == SINK_PHASE {
+                        "sink"
+                    } else {
+                        "compile"
+                    },
                     us(*start_ns),
                     us(*dur_ns)
                 ),

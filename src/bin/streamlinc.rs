@@ -21,7 +21,13 @@
 //! $ streamlinc program.str --threads 4 --watchdog-ms 2000   # stall watchdog
 //! $ streamlinc program.str --threads 4 --fault-inject 7:panic@s1  # drill
 //! ```
+//!
+//! `--quiet` output streams as it is computed, one buffered write per
+//! chunk of [`streamlin::runtime::CHUNK`] values. A runtime error
+//! mid-stream leaves the chunks already written and exits 1; a reader
+//! that closes the pipe early ends the run with exit 0.
 
+use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -29,7 +35,7 @@ use streamlin::core::combine::analyze_graph;
 use streamlin::core::optimize;
 use streamlin::prelude::*;
 use streamlin::runtime::fission::Fission;
-use streamlin::runtime::{run as run_spec, RunSpec};
+use streamlin::runtime::{run_streaming, ProfileError, RunSpec};
 use streamlin::support::{InjectFaults, Probe, Recorder};
 
 struct Args {
@@ -281,8 +287,39 @@ fn run(args: &Args) -> Result<(), String> {
         eprintln!("structure: {}", opt.describe());
     }
 
-    let prof =
-        run_spec(&opt, &args.spec, rec.as_mut(), args.fault.as_ref()).map_err(|e| e.to_string())?;
+    // Output streams as it is computed: the run hands the sink each
+    // chunk, and `--quiet` writes it through one buffered stdout,
+    // flushed per chunk. The summary keeps only the first few values.
+    let stdout = io::stdout();
+    let mut out = BufWriter::with_capacity(1 << 16, stdout.lock());
+    let mut head = Vec::with_capacity(HEAD);
+    let mut sink = |chunk: &[f64]| -> io::Result<()> {
+        if args.quiet {
+            for v in chunk {
+                writeln!(out, "{v}")?;
+            }
+            out.flush()
+        } else {
+            let room = HEAD - head.len();
+            head.extend_from_slice(&chunk[..room.min(chunk.len())]);
+            Ok(())
+        }
+    };
+    let prof = match run_streaming(
+        &opt,
+        &args.spec,
+        rec.as_mut(),
+        args.fault.as_ref(),
+        &mut sink,
+    ) {
+        Ok(prof) => prof,
+        // The reader closed the pipe: nothing more to say.
+        Err(ProfileError::Sink {
+            kind: io::ErrorKind::BrokenPipe,
+            ..
+        }) => return Ok(()),
+        Err(e) => return Err(e.to_string()),
+    };
     if let Some(reason) = &prof.degraded {
         if !args.quiet {
             eprintln!("streamlinc: degraded to the single-threaded static plan ({reason})");
@@ -314,11 +351,7 @@ fn run(args: &Args) -> Result<(), String> {
             eprintln!("trace written to {path}");
         }
     }
-    if args.quiet {
-        for v in &prof.outputs {
-            println!("{v}");
-        }
-    } else {
+    if !args.quiet {
         let stats = opt.stats();
         eprintln!(
             "nodes: {} ({} interpreted, {} linear, {} freq, {} redund)",
@@ -335,25 +368,39 @@ fn run(args: &Args) -> Result<(), String> {
         match args.spec.mode {
             ExecMode::Measured => eprintln!(
                 "{} outputs in {:?} [{sched_desc}]: {:.1} flops/output, {:.1} mults/output",
-                prof.outputs.len(),
+                prof.delivered,
                 prof.wall,
                 prof.flops_per_output(),
                 prof.mults_per_output()
             ),
             ExecMode::Fast => eprintln!(
                 "{} outputs in {:?} [{sched_desc}, fast/{}]: {:.0} outputs/sec (uncounted)",
-                prof.outputs.len(),
+                prof.delivered,
                 prof.wall,
                 args.spec.strategy().label(),
-                prof.outputs.len() as f64 / prof.wall.as_secs_f64().max(1e-9),
+                prof.delivered as f64 / prof.wall.as_secs_f64().max(1e-9),
             ),
         }
-        for v in prof.outputs.iter().take(10) {
-            println!("{v}");
-        }
-        if prof.outputs.len() > 10 {
-            println!("... ({} more)", prof.outputs.len() - 10);
+        match print_head(&mut out, &head, prof.delivered) {
+            Err(e) if e.kind() != io::ErrorKind::BrokenPipe => {
+                return Err(format!("cannot write output: {e}"))
+            }
+            _ => {}
         }
     }
     Ok(())
+}
+
+/// Values the summary shows before eliding the rest.
+const HEAD: usize = 10;
+
+/// The summary's stdout: the first values and a count of the rest.
+fn print_head(out: &mut impl Write, head: &[f64], delivered: usize) -> io::Result<()> {
+    for v in head {
+        writeln!(out, "{v}")?;
+    }
+    if delivered > head.len() {
+        writeln!(out, "... ({} more)", delivered - head.len())?;
+    }
+    out.flush()
 }

@@ -1,7 +1,12 @@
 //! Integration tests for the `streamlinc` command-line driver, run against
 //! the checked-in benchmark sources in `assets/`.
 
-use std::process::Command;
+use std::io::{BufRead, BufReader, Read};
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
+use std::time::Duration;
+
+use streamlin::runtime::{RunSpec, CHUNK};
 
 fn streamlinc() -> Command {
     Command::new(env!("CARGO_BIN_EXE_streamlinc"))
@@ -376,4 +381,219 @@ fn no_bytecode_flag_and_env_select_the_tree_walker() {
         );
         assert_eq!(stdout, default, "{flag:?} env={env}: output bits differ");
     }
+}
+
+// ---- streaming output -------------------------------------------------------
+
+/// The nine benchmark programs as CLI inputs, written under a directory
+/// of the calling test's own (tests run concurrently).
+fn bench_files(dir: &str) -> Vec<(streamlin::benchmarks::Benchmark, PathBuf)> {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    streamlin::benchmarks::all_default()
+        .into_iter()
+        .map(|b| {
+            let path = dir.join(format!("{}.str", b.name().replace(' ', "_")));
+            std::fs::write(&path, b.source()).unwrap();
+            (b, path)
+        })
+        .collect()
+}
+
+/// The collected `run` of what `streamlinc --mode fast` executes, one
+/// `{}`-formatted line per value: the text the CLI must print.
+fn collected_lines(bench: &streamlin::benchmarks::Benchmark, n: usize) -> Vec<String> {
+    let analysis = streamlin::core::combine::analyze_graph(bench.graph());
+    let opt = streamlin::core::optimize(bench.graph(), &analysis, "autosel").unwrap();
+    let spec = RunSpec {
+        mode: streamlin::runtime::ExecMode::Fast,
+        ..RunSpec::new(n)
+    };
+    let prof = streamlin::runtime::run(&opt, &spec, None, None).unwrap();
+    assert_eq!(prof.outputs.len(), n, "{}", bench.name());
+    prof.outputs.iter().map(|v| format!("{v}")).collect()
+}
+
+/// `--quiet` output at chunk boundaries (one short of a chunk, one past
+/// it, several chunks and a tail) is the collected run's text, for all
+/// nine programs under one executor; the instrumented run prints the
+/// same bits.
+fn quiet_output_matches_the_collected_run(executor: &[&str], dir: &str) {
+    let sizes = [CHUNK - 1, CHUNK + 1, 3 * CHUNK + 7];
+    for (bench, path) in bench_files(dir) {
+        let want = collected_lines(&bench, sizes[2]);
+        let quiet = |n: usize, extra: &[&str]| -> String {
+            let out = streamlinc()
+                .arg(&path)
+                .args(["--mode", "fast", "--quiet", "-n", &n.to_string()])
+                .args(executor)
+                .args(extra)
+                .output()
+                .expect("binary runs");
+            assert!(
+                out.status.success(),
+                "{} {executor:?} {extra:?}: {}",
+                bench.name(),
+                String::from_utf8_lossy(&out.stderr)
+            );
+            String::from_utf8(out.stdout).unwrap()
+        };
+        for n in sizes {
+            let got = quiet(n, &[]);
+            let lines: Vec<&str> = got.lines().collect();
+            assert_eq!(lines.len(), n, "{} {executor:?} n={n}", bench.name());
+            if let Some(i) = (0..n).find(|&i| lines[i] != want[i]) {
+                panic!(
+                    "{} {executor:?} n={n}: line {i} is {} vs collected {}",
+                    bench.name(),
+                    lines[i],
+                    want[i]
+                );
+            }
+        }
+        let plain = quiet(sizes[2], &[]);
+        assert!(
+            quiet(sizes[2], &["--metrics"]) == plain,
+            "{} {executor:?}: --metrics changed the output",
+            bench.name()
+        );
+    }
+}
+
+#[test]
+fn chunk_boundaries_stream_the_collected_bits_single_threaded() {
+    quiet_output_matches_the_collected_run(&[], "chunks_single");
+}
+
+#[test]
+fn chunk_boundaries_stream_the_collected_bits_on_the_pipeline() {
+    quiet_output_matches_the_collected_run(
+        &["--threads", "2", "--fission", "auto"],
+        "chunks_pipeline",
+    );
+}
+
+#[test]
+fn chunk_boundaries_stream_the_collected_bits_data_driven() {
+    quiet_output_matches_the_collected_run(&["--sched", "dynamic"], "chunks_dynamic");
+}
+
+/// A reader that closes the pipe early (`streamlinc ... | head -1`) ends
+/// the run: exit 0, no panic, on the `--quiet` path (the reader takes
+/// one line first) and on the summary path (closed before any output).
+#[test]
+fn closed_stdout_exits_cleanly() {
+    for quiet in [true, false] {
+        let mut child = streamlinc()
+            .args(["assets/fir.str", "--mode", "fast", "-n", "200000"])
+            .args(quiet.then_some("--quiet"))
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        let stdout = child.stdout.take().unwrap();
+        if quiet {
+            let mut first = String::new();
+            BufReader::new(stdout).read_line(&mut first).unwrap();
+            first.trim().parse::<f64>().expect("a value came first");
+        } else {
+            drop(stdout);
+        }
+        let out = child.wait_with_output().expect("binary exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            out.status.success(),
+            "quiet={quiet}: {:?} {stderr}",
+            out.status
+        );
+        assert!(!stderr.contains("panicked"), "quiet={quiet}: {stderr}");
+    }
+}
+
+/// Peak resident memory while `--quiet` streams two million values: a
+/// run that collected every value held 32 MB of them or more; an engine
+/// that kept every printed value behind a streaming sink, 17 MB or more.
+#[cfg(target_os = "linux")]
+#[test]
+fn streaming_memory_stays_flat() {
+    let mut child = streamlinc()
+        .args([
+            "assets/fir.str",
+            "--mode",
+            "fast",
+            "--quiet",
+            "-n",
+            "2000000",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("binary runs");
+    let status = format!("/proc/{}/status", child.id());
+    let hwm_kb = || -> Option<u64> {
+        let text = std::fs::read_to_string(&status).ok()?;
+        let line = text.lines().find(|l| l.starts_with("VmHWM:"))?;
+        line.split_whitespace().nth(1)?.parse().ok()
+    };
+    let mut stdout = child.stdout.take().unwrap();
+    let (mut buf, mut lines, mut peak) = (vec![0u8; 1 << 16], 0usize, 0u64);
+    loop {
+        peak = peak.max(hwm_kb().unwrap_or(0));
+        let got = stdout.read(&mut buf).unwrap();
+        if got == 0 {
+            break;
+        }
+        lines += buf[..got].iter().filter(|&&b| b == b'\n').count();
+    }
+    assert!(child.wait().unwrap().success());
+    assert_eq!(lines, 2_000_000);
+    assert!(peak > 0, "VmHWM was sampled");
+    assert!(peak < 16 * 1024, "peak resident {peak} kB");
+}
+
+/// A consumer that stops reading for 200 ms mid-stream blocks the
+/// sink, not the pipeline: workers park between reads, so a 50 ms
+/// watchdog sees no stalled round and nothing degrades.
+#[test]
+fn slow_consumer_does_not_trip_the_watchdog() {
+    let n = 200_000;
+    let mut child = streamlinc()
+        .args([
+            "assets/fir.str",
+            "--mode",
+            "fast",
+            "--quiet",
+            "--emit-graph",
+        ])
+        .args([
+            "--threads",
+            "2",
+            "--watchdog-ms",
+            "50",
+            "-n",
+            &n.to_string(),
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut reader = BufReader::new(child.stdout.take().unwrap());
+    let mut line = String::new();
+    let mut lines = 0;
+    while reader.read_line(&mut line).unwrap() > 0 {
+        lines += 1;
+        line.clear();
+        if lines == 20_000 {
+            std::thread::sleep(Duration::from_millis(200));
+        }
+    }
+    let out = child.wait_with_output().expect("binary exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert_eq!(lines, n);
+    assert!(
+        stderr.contains("pipeline:"),
+        "ran on the pipeline: {stderr}"
+    );
+    assert!(!stderr.contains("degraded"), "{stderr}");
 }

@@ -16,6 +16,7 @@
 //! lifecycle smoke of the actual binary over stdio.
 
 use std::io::{BufRead, BufReader, Write};
+use std::time::{Duration, Instant};
 
 use streamlin::core::combine::analyze_graph;
 use streamlin::core::cost::CostModel;
@@ -23,6 +24,7 @@ use streamlin::core::select::{select, SelectOptions};
 use streamlin::runtime::fission::Fission;
 use streamlin::runtime::{run, RunSpec};
 use streamlin::runtime::{ExecMode, Scheduler};
+use streamlin::service::proto::MAX_READ;
 use streamlin::service::{Service, ServiceOpts};
 use streamlin::support::json::{self, Json};
 
@@ -512,6 +514,41 @@ fn protocol_failures_are_structured() {
         "duplicate_stream"
     );
     request_ok(&svc, "{\"op\":\"close\",\"id\":\"dup\"}");
+}
+
+/// A `read` larger than the per-read cap used to run the engine for
+/// `n` values before answering (10^12 never answered). It is now a
+/// `bad_request` before any engine work: the refusal is prompt, the
+/// stream delivered nothing, and the daemon keeps serving.
+#[test]
+fn oversized_reads_are_refused_promptly() {
+    let svc = roomy();
+    let fir = streamlin::benchmarks::fir(16);
+    let fast = [("mode", Json::Str("fast".into()))];
+    request_ok(&svc, &open_line("big", fir.source(), &fast));
+    for n in [1_000_000_000_000u64, MAX_READ as u64 + 1] {
+        let t0 = Instant::now();
+        let line = format!("{{\"op\":\"read\",\"id\":\"big\",\"n\":{n}}}");
+        let resp = json::parse(&svc.handle(&line)).expect("response parses");
+        assert!(t0.elapsed() < Duration::from_secs(5), "{:?}", t0.elapsed());
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(false)), "{resp:?}");
+        assert_eq!(
+            resp.get("error").and_then(Json::as_str),
+            Some("bad_request")
+        );
+        let detail = resp.get("detail").and_then(Json::as_str).unwrap_or("");
+        assert!(detail.contains("cap"), "{detail}");
+    }
+    let pong = request_ok(&svc, "{\"op\":\"ping\"}");
+    assert_eq!(pong.get("op").and_then(Json::as_str), Some("pong"));
+    let mut got = Vec::new();
+    read_into(&svc, "big", 16, &mut got);
+    assert_bits_equal(
+        "after refusals",
+        &got,
+        &reference(&fir, 16, ExecMode::Fast, None),
+    );
+    request_ok(&svc, "{\"op\":\"close\",\"id\":\"big\"}");
 }
 
 /// Stream ids name filesystem artifacts under `--trace-out`, so they are

@@ -18,9 +18,10 @@ use streamlin::core::select::{select, SelectOptions};
 use streamlin::core::OptStream;
 use streamlin::runtime::fission::Fission;
 use streamlin::runtime::telemetry::validate_trace;
-use streamlin::runtime::{run, RunSpec};
+use streamlin::runtime::{run, RunSpec, CHUNK};
 use streamlin::runtime::{ExecMode, Scheduler, Tier};
-use streamlin::support::Recorder;
+use streamlin::support::probe::Event;
+use streamlin::support::{Recorder, SINK_PHASE};
 
 fn configs(bench: &streamlin::benchmarks::Benchmark) -> Vec<(&'static str, OptStream)> {
     let analysis = analyze_graph(bench.graph());
@@ -277,6 +278,32 @@ fn single_threaded_trace_validates_too() {
     let shape = validate_trace(&rec.chrome_trace()).expect("valid trace");
     assert!(shape.spans > 0);
     assert!(shape.named_lanes >= 1, "the engine lane is named");
+}
+
+/// Sink time is its own phase: a one-shot run records one `sink` span
+/// per chunk it hands over, which stays out of the compile time, gets
+/// its own summary line and is tagged apart in the trace.
+#[test]
+fn sink_time_is_recorded_apart_from_compile_phases() {
+    let bench = streamlin::benchmarks::rate_convert();
+    let opt = configs(&bench).remove(0).1;
+    let mut rec = Recorder::new();
+    let prof = run(&opt, &RunSpec::new(2 * CHUNK + 1), Some(&mut rec), None).unwrap();
+    assert_eq!(prof.outputs.len(), 2 * CHUNK + 1);
+    let (mut sinks, mut compile) = (0, 0);
+    for e in &rec.events {
+        match e {
+            Event::Phase { name, .. } if *name == SINK_PHASE => sinks += 1,
+            Event::Phase { dur_ns, .. } => compile += dur_ns,
+            _ => {}
+        }
+    }
+    assert_eq!(sinks, 3, "one sink span per chunk");
+    assert_eq!(rec.compile_ns(), compile, "sink time is not compile time");
+    assert!(rec.summary().contains("== sink =="));
+    let trace = rec.chrome_trace();
+    assert!(trace.contains("\"cat\":\"sink\""));
+    validate_trace(&trace).expect("valid trace");
 }
 
 /// The interpreter tier is per run, not per process: the default tier
